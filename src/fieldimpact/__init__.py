@@ -35,14 +35,11 @@ from .benchmarks import (  # noqa: F401
 )
 from .indicators import (  # noqa: F401
     IndicatorRow,
-    StandardizedImpact,
     aggregate,
     concentration_index,
     concentration_index_from_shares,
     journal_standardized_impact,
-    score_publications,
     standardized_impact,
-    top_decile_publications,
 )
 from .trends import annual_series, avg_annual_increase, series_growth  # noqa: F401
 from .reporting import RankingSpec, emit, rank  # noqa: F401

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .corpus import Corpus, CorpusError, FieldScheme, Journal, _open_text
+from .corpus import Corpus, CorpusError, FieldScheme, Journal, _open_out, _open_text
 
 
 class BenchmarkError(CorpusError):
@@ -195,6 +195,13 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
                 raise BenchmarkError(f"benchmark CSV line {lineno}: {exc}") from exc
             if n < 1:
                 raise BenchmarkError(f"benchmark CSV line {lineno}: n must be >= 1")
+            if not math.isfinite(mean) or mean < 0:
+                raise BenchmarkError(
+                    f"benchmark CSV line {lineno}: {value_col} must be finite and non-negative, "
+                    f"got {row[3].strip()!r}"
+                )
+            if (year, key) in cells:
+                raise BenchmarkError(f"benchmark CSV line {lineno}: duplicate cell ({year}, {key})")
             cells[(year, key)] = BenchmarkCell(n, mean)
     if not cells:
         raise BenchmarkError("no benchmark data")
@@ -217,18 +224,17 @@ def load_top_journals_csv(source: str | Path | IO[str], fraction: float = 0.10) 
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["field_id", "journal_id"]:
             raise BenchmarkError(f"expected header field_id,journal_id, got {header!r}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not any(cell.strip() for cell in row):
                 continue
+            if len(row) != 2:
+                raise BenchmarkError(
+                    f"top-journal CSV line {lineno}: expected 2 columns, got {len(row)}"
+                )
             by_field.setdefault(row[0].strip(), set()).add(row[1].strip())
     return TopJournalSet({f: frozenset(js) for f, js in by_field.items()}, fraction)
 
 
 def _write_csv(destination: str | Path | IO[str], rows: Iterable[tuple]) -> None:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerows(rows)
+    with _open_out(destination) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,6 +37,8 @@ from .corpus import (
 )
 from .indicators import (
     SLICE_KEYS,
+    IndicatorError,
+    _validate_slice,
     aggregate,
     write_indicator_csv,
     write_indicator_json,
@@ -105,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common_opts(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out-dir", dest="out_dir", help=f"output directory (or ${OUT_DIR_ENV})")
-        p.add_argument("--threads", type=int, help="cap internal parallelism (default 1)")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
 
     def benchmark_opts(p):
         p.add_argument("--xcr-csv", dest="xcr_csv", help="import field benchmarks instead of computing")
@@ -178,11 +181,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _opt(args, config, key, default=None):
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
+def _opt(args, config, key, default=None, convert=str):
+    """A flag's value, else the config's, else the default, passed through
+    `convert`; a value that does not convert is a usage error."""
     value = getattr(args, key, None)
     if value is None:
         value = config.get(key, default)
-    return value
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (ValueError, TypeError):
+        raise UsageError(f"invalid value for {key}: {value!r}") from None
 
 
 def _req(args, config, key, flag: str):
@@ -217,14 +234,14 @@ def _load_corpus(args, config) -> Corpus:
 
 
 def _fraction(args, config) -> float:
-    fraction = float(_opt(args, config, "fraction", 0.10))
-    if not 0 < fraction < 1:
-        raise UsageError(f"--fraction must be in (0, 1), got {fraction}")
+    fraction = _opt(args, config, "fraction", 0.10, _finite)
+    if not 0 < fraction <= 1:
+        raise UsageError(f"--fraction must be in (0, 1], got {fraction}")
     return fraction
 
 
 def _threads(args, config) -> int:
-    threads = int(_opt(args, config, "threads", 1))
+    threads = _opt(args, config, "threads", 1, int)
     if threads < 1:
         raise UsageError("--threads must be >= 1")
     return threads
@@ -314,13 +331,10 @@ def _cmd_benchmark(args, config) -> int:
 
 
 def _parse_slice(raw: str) -> tuple[str, ...]:
-    keys = tuple(k.strip() for k in raw.split(",") if k.strip())
-    unknown = [k for k in keys if k not in SLICE_KEYS]
-    if unknown:
-        raise UsageError(f"unknown slice key(s) {unknown}; allowed: {','.join(SLICE_KEYS)}")
-    if not keys:
-        raise UsageError("--slice must name at least one key")
-    return keys
+    try:
+        return _validate_slice([k.strip() for k in raw.split(",") if k.strip()])
+    except IndicatorError as exc:
+        raise UsageError(f"--slice: {exc}") from None
 
 
 def _cmd_indicators(args, config) -> int:
@@ -341,8 +355,8 @@ def _cmd_indicators(args, config) -> int:
 def _cmd_rank(args, config) -> int:
     group_by = _opt(args, config, "group_by", "org")
     metric = _opt(args, config, "metric", "mean_cx")
-    min_weight = float(_opt(args, config, "min_weight", 50.0))
-    limit = int(_opt(args, config, "limit", 10))
+    min_weight = _opt(args, config, "min_weight", 50.0, _finite)
+    limit = _opt(args, config, "limit", 10, int)
     fmt = _opt(args, config, "fmt", "csv")
     discipline = _opt(args, config, "discipline")
     field_filter = _opt(args, config, "field_filter")
@@ -398,19 +412,19 @@ def _cmd_trend(args, config) -> int:
     if "year" in keys:
         raise UsageError("--slice must not include 'year' (it is implicit)")
     metrics = tuple(
-        m.strip() for m in str(_opt(args, config, "metrics", "mean_cx")).split(",") if m.strip()
+        m.strip() for m in _opt(args, config, "metrics", "mean_cx").split(",") if m.strip()
     )
     corpus = _load_corpus(args, config)
     if any(k in ("org_type", "org", "subunit") for k in keys):
         corpus = _maybe_reconcile(args, config, corpus)
     benchmarks, top_set = _load_benchmarks(args, config, corpus)
     series = annual_series(corpus, keys, benchmarks, top_set)
-    floor = _opt(args, config, "unstable_floor")
+    floor = _opt(args, config, "unstable_floor", convert=_finite)
     stats = []
     for s in series:
         for metric in metrics:
             try:
-                stats.append(series_growth(s, metric, None if floor is None else float(floor)))
+                stats.append(series_growth(s, metric, floor))
             except GrowthError as exc:
                 print(f"skipped {s.entity_id() or 'all'}/{metric}: {exc}", file=sys.stderr)
     out = _out_dir(args, config)
@@ -434,9 +448,9 @@ def _cmd_synth(args, config) -> int:
 def _cmd_demo(args, config) -> int:
     fmt = _opt(args, config, "fmt", "markdown")
     kwargs = {}
-    seed = _opt(args, config, "seed")
+    seed = _opt(args, config, "seed", convert=int)
     if seed is not None:
-        kwargs["seed"] = int(seed)
+        kwargs["seed"] = seed
     out_dir = _opt(args, config, "out_dir")
     if out_dir:
         kwargs["out_dir"] = _out_dir(args, config)

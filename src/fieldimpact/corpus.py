@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from datetime import date, datetime
@@ -384,6 +385,13 @@ class _NonClosing:
         return False
 
 
+def _open_out(destination: PathOrIO):
+    """Open a path for writing, or pass an already-open stream through unclosed."""
+    if isinstance(destination, (str, Path)):
+        return open(destination, "w", encoding="utf-8", newline="")
+    return _NonClosing(destination)
+
+
 def _read_csv(source: PathOrIO, expected_header: Sequence[str], what: str):
     with _open_text(source) as fh:
         reader = csv.reader(fh)
@@ -418,8 +426,10 @@ def load_journals(source: PathOrIO) -> dict[str, Journal]:
         except ValueError:
             diagnostics.append(f"journals line {lineno}: invalid impact_factor {if_raw!r}")
             continue
-        if impact_factor < 0:
-            diagnostics.append(f"journals line {lineno}: impact_factor must be non-negative")
+        if not math.isfinite(impact_factor) or impact_factor < 0:
+            diagnostics.append(
+                f"journals line {lineno}: impact_factor must be finite and non-negative, got {if_raw!r}"
+            )
             continue
         fields = tuple(sys.intern(f.strip()) for f in fields_raw.split(";") if f.strip())
         if not fields:
@@ -602,7 +612,7 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
     Attributions, when present, are carried in an optional key with exact
     fractional weights so reconciled corpora survive a round trip.
     """
-    def _write(fh: IO[str]) -> None:
+    with _open_out(destination) as fh:
         for rec in corpus.records:
             obj: dict[str, object] = {
                 "id": rec.id,
@@ -623,9 +633,3 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
                     for a in rec.attributions
                 ]
             fh.write(json.dumps(obj) + "\n")
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(destination)

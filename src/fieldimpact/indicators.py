@@ -27,7 +27,7 @@ from .benchmarks import (
     CitationBenchmarkTable,
     TopJournalSet,
 )
-from .corpus import Corpus, CorpusError, OrgType, PublicationRecord
+from .corpus import Corpus, CorpusError, OrgType, PublicationRecord, _open_out
 
 SLICE_KEYS = ("nation", "discipline", "field", "org_type", "org", "subunit", "year", "doc_type")
 _ORG_KEYS = frozenset({"org_type", "org", "subunit"})
@@ -39,8 +39,19 @@ class IndicatorError(CorpusError):
 
 def standardized_impact(pub: PublicationRecord, xcr_table: CitationBenchmarkTable) -> float:
     """Citations over the mean expected citation rate of the publication's fields."""
-    rates = [xcr_table.expected(pub.year, f) for f in pub.field_ids]
-    return pub.citations / (sum(rates) / len(rates))
+    return pub.citations / _mean_expected_rate(pub.year, pub.field_ids, xcr_table)
+
+
+def _mean_expected_rate(
+    year: int, field_ids: Sequence[str], xcr_table: CitationBenchmarkTable
+) -> float:
+    """Arithmetic mean of the expected rates of `field_ids` in `year`: the
+    denominator of every standardized impact.
+
+    Raises BenchmarkError when any of those cells is missing or degenerate.
+    """
+    rates = [xcr_table.expected(year, f) for f in field_ids]
+    return sum(rates) / len(rates)
 
 
 def journal_standardized_impact(
@@ -48,46 +59,6 @@ def journal_standardized_impact(
 ) -> float:
     """Citations over the expected citation rate of the publication's journal-year."""
     return pub.citations / jxcr_table.expected(pub.year, pub.journal_id)
-
-
-@dataclass(frozen=True, slots=True)
-class StandardizedImpact:
-    publication_id: str
-    cites_over_xcr: float
-    cites_over_jxcr: float | None
-    is_top_journal: bool
-
-
-def score_publications(
-    corpus: Corpus, benchmarks: BenchmarkTables, top_set: TopJournalSet
-) -> tuple[list[StandardizedImpact], list[str]]:
-    """Score every record at the cross-field level (fields' rates averaged).
-
-    Returns the scores plus diagnostics for publications excluded due to
-    missing or degenerate field benchmarks. A missing journal-year
-    benchmark only suppresses cites_over_jxcr, never the publication.
-    """
-    scores: list[StandardizedImpact] = []
-    exclusions: list[str] = []
-    for rec in corpus.records:
-        try:
-            ratio = standardized_impact(rec, benchmarks.xcr)
-        except BenchmarkError as exc:
-            exclusions.append(f"record {rec.id}: {exc}")
-            continue
-        try:
-            cjx = journal_standardized_impact(rec, benchmarks.jxcr)
-        except BenchmarkError:
-            cjx = None
-        scores.append(
-            StandardizedImpact(
-                publication_id=rec.id,
-                cites_over_xcr=ratio,
-                cites_over_jxcr=cjx,
-                is_top_journal=top_set.is_top_for(rec.journal_id, rec.field_ids),
-            )
-        )
-    return scores, exclusions
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +77,7 @@ class IndicatorRow:
     top_decile_mean_cx: float | None = None
 
     def entity_id(self) -> str:
-        return "|".join("" if v is None else str(v) for _, v in self.entity)
+        return _entity_id(self.entity)
 
     def entity_dict(self) -> dict[str, object]:
         return dict(self.entity)
@@ -117,6 +88,11 @@ class IndicatorRow:
         if metric in ("mean_cx", "mean_citations", "top_share_pct", "mean_cjx", "top_decile_mean_cx"):
             return getattr(self, metric)
         raise IndicatorError(f"unknown metric {metric!r}")
+
+
+def _entity_id(entity: tuple[tuple[str, object], ...]) -> str:
+    """Pipe-joined entity values, the stable label used for ranking and sorting."""
+    return "|".join("" if v is None else str(v) for _, v in entity)
 
 
 class _Acc:
@@ -186,27 +162,27 @@ def aggregate(
     jxcr = benchmarks.jxcr
 
     accs: dict[tuple, _Acc] = {}
+    # Denominator per (year, fields) context; None marks an excluded context.
+    mean_rates: dict[tuple, float | None] = {}
 
     for rec in corpus.records:
         if org_sliced and not rec.attributions:
             continue
 
-        # Ratio per standardization context; None marks an excluded context.
+        # Standardization contexts: the fields whose expected rates are averaged.
         if by_field:
             contexts = [
-                (
-                    {"field": f, "discipline": scheme.discipline_of(f)},
-                    _field_ratio(rec, f, xcr),
-                )
+                ({"field": f, "discipline": scheme.discipline_of(f)}, (f,))
                 for f in rec.field_ids
             ]
         elif by_discipline:
             discs = sorted({scheme.discipline_of(f) for f in rec.field_ids})
             contexts = [
-                ({"discipline": d}, _discipline_ratio(rec, d, scheme, xcr)) for d in discs
+                ({"discipline": d}, tuple([f for f in rec.field_ids if scheme.discipline_of(f) == d]))
+                for d in discs
             ]
         else:
-            contexts = [({}, _cross_field_ratio(rec, xcr))]
+            contexts = [({}, rec.field_ids)]
 
         if org_sliced:
             org_parts = [
@@ -231,7 +207,15 @@ def aggregate(
         is_top = top_set.is_top_for(rec.journal_id, rec.field_ids)
 
         touched: set[tuple] = set()
-        for ctx_vals, ratio in contexts:
+        for ctx_vals, field_ids in contexts:
+            cell = (rec.year, field_ids)
+            if cell not in mean_rates:
+                try:
+                    mean_rates[cell] = _mean_expected_rate(rec.year, field_ids, xcr)
+                except BenchmarkError:
+                    mean_rates[cell] = None
+            rate = mean_rates[cell]
+            ratio = None if rate is None else rec.citations / rate
             for num, den, org_vals in org_parts:
                 key = _group_key(keys, rec, ctx_vals, org_vals)
                 acc = accs.get(key)
@@ -289,32 +273,6 @@ def aggregate(
     return rows
 
 
-def _field_ratio(rec: PublicationRecord, field_id: str, xcr: CitationBenchmarkTable) -> float | None:
-    try:
-        return rec.citations / xcr.expected(rec.year, field_id)
-    except BenchmarkError:
-        return None
-
-
-def _discipline_ratio(rec, discipline, scheme, xcr) -> float | None:
-    rates = []
-    for f in rec.field_ids:
-        if scheme.discipline_of(f) != discipline:
-            continue
-        try:
-            rates.append(xcr.expected(rec.year, f))
-        except BenchmarkError:
-            return None
-    return rec.citations / (sum(rates) / len(rates)) if rates else None
-
-
-def _cross_field_ratio(rec: PublicationRecord, xcr: CitationBenchmarkTable) -> float | None:
-    try:
-        return standardized_impact(rec, xcr)
-    except BenchmarkError:
-        return None
-
-
 def _group_key(keys, rec, ctx_vals, org_vals) -> tuple:
     parts = []
     for k in keys:
@@ -345,24 +303,6 @@ def top_decile_mean(scored: Sequence[tuple[float, str]], fraction: float = 0.10)
     k = math.ceil(fraction * len(ordered))
     subset = ordered[:k]
     return subset, math.fsum(r for r, _ in subset) / k
-
-
-def top_decile_publications(
-    scored: Sequence[StandardizedImpact], fraction: float = 0.10
-) -> tuple[tuple[StandardizedImpact, ...], float]:
-    """Highest-impact ceil(fraction*n) publications and their unweighted mean.
-
-    Ordering is by cites_over_xcr descending with publication id as the
-    deterministic tie-break.
-    """
-    if not scored:
-        raise IndicatorError("no scored publications")
-    if not 0 < fraction <= 1:
-        raise IndicatorError(f"fraction must be in (0, 1], got {fraction}")
-    ordered = sorted(scored, key=lambda s: (-s.cites_over_xcr, s.publication_id))
-    k = math.ceil(fraction * len(ordered))
-    subset = tuple(ordered[:k])
-    return subset, math.fsum(s.cites_over_xcr for s in subset) / k
 
 
 # Concentration of organization types across disciplines.
@@ -417,30 +357,33 @@ def concentration_index(corpus: Corpus, org_type: OrgType | str, discipline: str
     """Within-discipline output share of an org type over its overall share."""
     if isinstance(org_type, str):
         org_type = OrgType(org_type)
-    w_td, w_d, w_t, total = org_type_discipline_weights(corpus)
-    disc_total = w_d.get(discipline, Fraction(0))
-    if disc_total == 0:
+    weights = org_type_discipline_weights(corpus)
+    _, w_d, w_t, _ = weights
+    if w_d.get(discipline, Fraction(0)) == 0:
         raise IndicatorError(f"discipline {discipline!r} has no attributed publications")
-    overall = w_t.get(org_type, Fraction(0))
-    if overall == 0:
+    if w_t.get(org_type, Fraction(0)) == 0:
         raise IndicatorError(f"org type {org_type.value} has no attributed publications")
-    share_in_discipline = w_td.get((org_type, discipline), Fraction(0)) / disc_total
-    overall_share = overall / total
-    return float(share_in_discipline / overall_share)
+    return _concentration(weights, org_type, discipline)
 
 
 def concentration_table(corpus: Corpus) -> list[ConcentrationIndex]:
     """Concentration index for every (org_type, discipline) with output."""
-    w_td, w_d, w_t, total = org_type_discipline_weights(corpus)
-    out = []
-    for d in sorted(w_d):
-        for org_type in OrgType:
-            overall = w_t.get(org_type, Fraction(0))
-            if overall == 0:
-                continue
-            share = w_td.get((org_type, d), Fraction(0)) / w_d[d]
-            out.append(ConcentrationIndex(org_type, d, float(share / (overall / total))))
-    return out
+    weights = org_type_discipline_weights(corpus)
+    _, w_d, w_t, _ = weights
+    return [
+        ConcentrationIndex(org_type, d, _concentration(weights, org_type, d))
+        for d in sorted(w_d)
+        for org_type in OrgType
+        if w_t.get(org_type, Fraction(0)) != 0
+    ]
+
+
+def _concentration(weights, org_type: OrgType, discipline: str) -> float:
+    """Exact within-discipline share over overall share, from the weights of
+    org_type_discipline_weights; the discipline and org-type totals must be nonzero."""
+    w_td, w_d, w_t, total = weights
+    share_in_discipline = w_td.get((org_type, discipline), Fraction(0)) / w_d[discipline]
+    return float(share_in_discipline / (w_t[org_type] / total))
 
 
 # Delimited output: fixed 4-decimal CSV plus a full-precision JSON mirror.
@@ -451,28 +394,20 @@ _INDICATOR_COLUMNS = ("weight", "n_excluded", "mean_cx", "top_share_pct", "mean_
 def write_indicator_csv(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
     rows = list(rows)
     slice_keys = [k for k, _ in rows[0].entity] if rows else []
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            _write_indicator_rows(rows, slice_keys, fh)
-    else:
-        _write_indicator_rows(rows, slice_keys, destination)
-
-
-def _write_indicator_rows(rows, slice_keys, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(list(slice_keys) + list(_INDICATOR_COLUMNS))
-    for row in rows:
-        values = [v for _, v in row.entity]
-        writer.writerow(
-            values
-            + [
-                f"{row.weight:.4f}",
-                row.n_excluded,
-                f"{row.mean_cx:.4f}",
-                f"{row.top_share_pct:.4f}",
-                "" if row.mean_cjx is None else f"{row.mean_cjx:.4f}",
-            ]
-        )
+    with _open_out(destination) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(slice_keys + list(_INDICATOR_COLUMNS))
+        for row in rows:
+            writer.writerow(
+                [v for _, v in row.entity]
+                + [
+                    f"{row.weight:.4f}",
+                    row.n_excluded,
+                    f"{row.mean_cx:.4f}",
+                    f"{row.top_share_pct:.4f}",
+                    "" if row.mean_cjx is None else f"{row.mean_cjx:.4f}",
+                ]
+            )
 
 
 def write_indicator_json(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
@@ -487,8 +422,5 @@ def write_indicator_json(rows: Iterable[IndicatorRow], destination: str | Path |
         }
         for row in rows
     ]
-    text = json.dumps(payload, indent=2)
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text + "\n", encoding="utf-8")
-    else:
-        destination.write(text + "\n")
+    with _open_out(destination) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")

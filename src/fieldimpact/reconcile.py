@@ -13,13 +13,12 @@ import csv
 import re
 import sys
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Mapping
 
-from .corpus import Attribution, Corpus, CorpusError, Organization, _open_text
+from .corpus import Attribution, Corpus, CorpusError, Organization, _open_out, _open_text
 
 _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
 
@@ -64,8 +63,7 @@ class RuleConflict:
 class RuleSet:
     """Ordered rules plus the compile-time conflict report.
 
-    Read-only shared state; match results are memoized per distinct
-    normalized address (benign under concurrent use).
+    Match results are memoized per distinct normalized address.
     """
 
     rules: tuple[Rule, ...]
@@ -171,17 +169,11 @@ class UnmatchedReport:
         return sum(e.count for e in self.entries)
 
     def to_csv(self, destination: str | Path | IO[str]) -> None:
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w", encoding="utf-8", newline="") as fh:
-                self._write(fh)
-        else:
-            self._write(destination)
-
-    def _write(self, fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["address", "count", "sample_ids"])
-        for entry in self.entries:
-            writer.writerow([entry.address, entry.count, ";".join(entry.sample_ids)])
+        with _open_out(destination) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["address", "count", "sample_ids"])
+            for entry in self.entries:
+                writer.writerow([entry.address, entry.count, ";".join(entry.sample_ids)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,64 +222,44 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     1/m (m = number of distinct matched organizations); when several
     sub-unit targets of the same organization match, that organization's
     1/m is split equally among them, so weights always sum to exactly 1.
-    Records with no match keep empty attributions.
+    Records with no match keep empty attributions. `threads` is accepted
+    for compatibility and has no effect: reconciliation runs in one pass.
     """
     records = corpus.records
     # Raw address strings repeat heavily in real exports; memoizing the
     # normalization keeps the per-record cost at two dict lookups.
     norm_cache: dict[str, str] = {}
-
-    def process(chunk):
-        out = []
-        for rec in chunk:
-            matches = []
-            misses = []
-            for raw in rec.addresses:
-                normalized = norm_cache.get(raw)
-                if normalized is None:
-                    normalized = norm_cache.setdefault(raw, normalize_address(raw))
-                rule = rules.match(normalized) if normalized else None
-                if rule is None:
-                    misses.append(normalized)
-                else:
-                    matches.append(rule.target)
-            out.append((rec.id, matches, misses))
-        return out
-
-    if threads > 1 and len(records) > 1:
-        chunk_size = max(1, (len(records) + threads - 1) // threads)
-        chunks = [records[i : i + chunk_size] for i in range(0, len(records), chunk_size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_results = list(pool.map(process, chunks))
-        results = [item for chunk in chunk_results for item in chunk]
-    else:
-        results = process(records)
-
     attributions: dict[str, tuple[Attribution, ...]] = {}
     unmatched_counts: dict[str, int] = {}
     unmatched_samples: dict[str, list[str]] = {}
     total_addresses = 0
     matched_addresses = 0
-    n_attributed = 0
     # Distinct match profiles are few; share one attribution tuple per profile.
     att_cache: dict[tuple, tuple[Attribution, ...]] = {}
 
-    for rec_id, matches, misses in results:
-        total_addresses += len(matches) + len(misses)
-        matched_addresses += len(matches)
-        for normalized in misses:
+    for rec in records:
+        matches = []
+        for raw in rec.addresses:
+            normalized = norm_cache.get(raw)
+            if normalized is None:
+                normalized = norm_cache.setdefault(raw, normalize_address(raw))
+            rule = rules.match(normalized) if normalized else None
+            if rule is not None:
+                matches.append(rule.target)
+                continue
             unmatched_counts[normalized] = unmatched_counts.get(normalized, 0) + 1
             sample = unmatched_samples.setdefault(normalized, [])
-            if len(sample) < _SAMPLE_IDS and rec_id not in sample:
-                sample.append(rec_id)
+            if len(sample) < _SAMPLE_IDS and rec.id not in sample:
+                sample.append(rec.id)
+        total_addresses += len(rec.addresses)
         if not matches:
             continue
-        n_attributed += 1
+        matched_addresses += len(matches)
         profile = tuple(matches)
         atts = att_cache.get(profile)
         if atts is None:
             atts = att_cache.setdefault(profile, _attributions_for(matches))
-        attributions[rec_id] = atts
+        attributions[rec.id] = atts
 
     entries = tuple(
         UnmatchedAddress(addr, count, tuple(unmatched_samples[addr]))
@@ -297,8 +269,8 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
         total_addresses=total_addresses,
         matched_addresses=matched_addresses,
         n_records=len(records),
-        n_attributed=n_attributed,
-        n_unattributed=len(records) - n_attributed,
+        n_attributed=len(attributions),
+        n_unattributed=len(records) - len(attributions),
     )
     return ReconcileResult(
         corpus=corpus.with_attributions(attributions),

@@ -10,7 +10,7 @@ from datetime import date
 from pathlib import Path
 from typing import IO, Iterable
 
-from .corpus import CorpusError
+from .corpus import CorpusError, _open_out, _open_text
 from .indicators import IndicatorRow
 
 RANK_METRICS = ("mean_cx", "top_share_pct", "mean_cjx", "weight", "top_decile_mean_cx")
@@ -95,11 +95,8 @@ def emit(table: Table, fmt: str, destination: str | Path | IO[str]) -> None:
     if fmt not in FORMATS:
         raise ReportError(f"unknown format {fmt!r}, allowed: {FORMATS}")
     text = render(table, fmt)
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
+    with _open_out(destination) as fh:
+        fh.write(text)
 
 
 def render(table: Table, fmt: str) -> str:
@@ -137,9 +134,8 @@ def _display(value, column: str, decimals: dict[str, int]) -> str:
 
 
 def load_table_json(source: str | Path | IO[str]) -> list[dict]:
-    if isinstance(source, (str, Path)):
-        return json.loads(Path(source).read_text(encoding="utf-8"))
-    return json.load(source)
+    with _open_text(source) as fh:
+        return json.load(fh)
 
 
 _EXTENSIONS = {"csv": "csv", "json": "json", "markdown": "md"}

@@ -8,8 +8,8 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .benchmarks import BenchmarkTables, TopJournalSet
-from .corpus import Corpus, CorpusError
-from .indicators import IndicatorRow, aggregate
+from .corpus import Corpus, CorpusError, _open_out
+from .indicators import IndicatorRow, _entity_id, aggregate
 
 
 class GrowthError(CorpusError):
@@ -37,7 +37,7 @@ class AnnualSeries:
         return len(self.points) < 2
 
     def entity_id(self) -> str:
-        return "|".join("" if v is None else str(v) for _, v in self.entity)
+        return _entity_id(self.entity)
 
     def metric_values(self, metric: str) -> list[float | None]:
         return [row.value(metric) for _, row in self.points]
@@ -99,9 +99,6 @@ class GrowthStat:
     avg_annual_increase_pct: float
     unstable_base: bool
 
-    def entity_id(self) -> str:
-        return "|".join("" if v is None else str(v) for _, v in self.entity)
-
 
 def series_growth(
     series: AnnualSeries,
@@ -135,27 +132,20 @@ def series_growth(
 def write_trend_csv(stats: Iterable[GrowthStat], destination: str | Path | IO[str]) -> None:
     stats = list(stats)
     slice_keys = [k for k, _ in stats[0].entity] if stats else []
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            _write_trend_rows(stats, slice_keys, fh)
-    else:
-        _write_trend_rows(stats, slice_keys, destination)
-
-
-def _write_trend_rows(stats, slice_keys, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        list(slice_keys)
-        + ["metric", "first_year", "last_year", "avg_annual_increase_pct", "unstable_base_flag"]
-    )
-    for stat in stats:
+    with _open_out(destination) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            [v for _, v in stat.entity]
-            + [
-                stat.metric,
-                stat.first_year,
-                stat.last_year,
-                f"{stat.avg_annual_increase_pct:.4f}",
-                str(stat.unstable_base).lower(),
-            ]
+            slice_keys
+            + ["metric", "first_year", "last_year", "avg_annual_increase_pct", "unstable_base_flag"]
         )
+        for stat in stats:
+            writer.writerow(
+                [v for _, v in stat.entity]
+                + [
+                    stat.metric,
+                    stat.first_year,
+                    stat.last_year,
+                    f"{stat.avg_annual_increase_pct:.4f}",
+                    str(stat.unstable_base).lower(),
+                ]
+            )

@@ -197,3 +197,25 @@ class TestCsvRoundTrips:
         export_top_journals_csv(top, buf)
         reloaded = load_top_journals_csv(io.StringIO(buf.getvalue()))
         assert dict(reloaded.by_field) == dict(top.by_field)
+
+
+class TestCsvLoaderRejections:
+    HEADER = "year,field_id,n,xcr\n"
+
+    def test_one_column_top_journal_row_names_line(self):
+        with pytest.raises(BenchmarkError, match=r"line 3: expected 2 columns, got 1"):
+            load_top_journals_csv(io.StringIO("field_id,journal_id\nF1,J1\nF1\n"))
+
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf", "-1.5"])
+    def test_non_finite_or_negative_mean_rejected(self, mean):
+        with pytest.raises(BenchmarkError, match=r"line 2: xcr must be finite and non-negative"):
+            load_benchmark_csv(io.StringIO(self.HEADER + f"2003,F1,2,{mean}\n"), "field")
+
+    def test_zero_mean_still_loads_as_degenerate_cell(self):
+        table = load_benchmark_csv(io.StringIO(self.HEADER + "2003,F1,2,0.0\n"), "field")
+        assert table.degenerate_cells() == ((2003, "F1"),)
+
+    def test_duplicate_cell_rejected(self):
+        text = self.HEADER + "2003,F1,2,1.5\n2004,F1,1,2.0\n2003,F1,3,9.0\n"
+        with pytest.raises(BenchmarkError, match=r"line 4: duplicate cell \(2003, F1\)"):
+            load_benchmark_csv(io.StringIO(text), "field")

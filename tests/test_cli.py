@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fieldimpact.cli import dispatch
 from fieldimpact.synth import build_world_spec
 
@@ -212,3 +214,118 @@ class TestSynthCmds:
         code = dispatch(["benchmark", *args_corpus(tiny_corpus_files)])
         assert code == 0
         assert (tmp_path / "envout" / "xcr.csv").exists()
+
+
+class TestBadInputDiagnostics:
+    """Bad options and bad files end as one stderr line and exit 1 or 2."""
+
+    def write(self, files, name, text):
+        path = files["dir"] / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def run(self, argv, capsys):
+        code = dispatch(argv)
+        err = capsys.readouterr().err.splitlines()
+        return code, err
+
+    def test_config_threads_not_an_integer(self, tiny_corpus_files, capsys):
+        config = self.write(tiny_corpus_files, "run.json", json.dumps({"threads": "abc"}))
+        code, err = self.run(
+            ["reconcile", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--config", str(config), "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 2
+        assert err == ["usage error: invalid value for threads: 'abc'"]
+
+    def test_config_limit_not_an_integer(self, tiny_corpus_files, capsys):
+        config = self.write(tiny_corpus_files, "run.json", json.dumps({"limit": "x"}))
+        code, err = self.run(
+            ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--config", str(config), "--out", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert err == ["usage error: invalid value for limit: 'x'"]
+
+    def test_config_min_weight_not_finite(self, tiny_corpus_files, capsys):
+        config = self.write(tiny_corpus_files, "run.json", json.dumps({"min_weight": "nan"}))
+        code, err = self.run(
+            ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--config", str(config), "--out", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert err == ["usage error: invalid value for min_weight: 'nan'"]
+
+    def test_repeated_slice_key_is_usage_error(self, tiny_corpus_files, capsys):
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--slice", "org,org", "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 2
+        assert err == ["usage error: --slice: slice_spec keys must be unique"]
+
+    def test_fraction_one_accepted(self, tiny_corpus_files, tmp_path):
+        out = tmp_path / "bm"
+        code = dispatch(
+            ["benchmark", *args_corpus(tiny_corpus_files), "--fraction", "1", "--out-dir", str(out)]
+        )
+        assert code == 0
+        # Every journal of a field is top at fraction 1.
+        assert (out / "top_journals.csv").read_text().splitlines()[1:] == [
+            "F1,J1", "F1,J2", "F2,J2"
+        ]
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+    def test_fraction_out_of_range_is_usage_error(self, tiny_corpus_files, tmp_path, capsys, fraction):
+        code, err = self.run(
+            ["benchmark", *args_corpus(tiny_corpus_files), "--fraction", fraction,
+             "--out-dir", str(tmp_path / "bm")],
+            capsys,
+        )
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
+    def test_one_column_top_csv_row(self, tiny_corpus_files, capsys):
+        top = self.write(tiny_corpus_files, "top.csv", "field_id,journal_id\nF1,J1\nF1\n")
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--top-csv", str(top),
+             "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert err == ["error: top-journal CSV line 3: expected 2 columns, got 1"]
+
+    def test_nan_impact_factor(self, tiny_corpus_files, capsys):
+        journals = self.write(
+            tiny_corpus_files, "j_nan.csv",
+            "journal_id,name,impact_factor,fields\nJ1,Journal One,nan,F1\nJ2,Journal Two,1.0,F1;F2\n",
+        )
+        files = dict(tiny_corpus_files, journals=journals)
+        code, err = self.run(["validate", *args_corpus(files)], capsys)
+        assert code == 1
+        assert err == [
+            "journals line 2: impact_factor must be finite and non-negative, got 'nan'",
+            "validation failed: 1 diagnostic(s)",
+        ]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("2003,F1,2,nan\n", "xcr must be finite and non-negative, got 'nan'"),
+            ("2003,F1,2,1.0\n2003,F1,1,3.0\n", "duplicate cell (2003, F1)"),
+        ],
+    )
+    def test_bad_xcr_csv_cell(self, tiny_corpus_files, capsys, body, message):
+        xcr = self.write(tiny_corpus_files, "xcr.csv", "year,field_id,n,xcr\n" + body)
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--xcr-csv", str(xcr),
+             "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: benchmark CSV line")
+        assert err[0].endswith(message)

@@ -102,6 +102,14 @@ class TestParseCorpus:
             )
         assert any("more than one discipline" in d for d in exc.value.diagnostics)
 
+    @pytest.mark.parametrize("impact_factor", ["nan", "inf", "-0.5"])
+    def test_non_finite_or_negative_impact_factor_rejected(self, impact_factor):
+        with pytest.raises(CorpusValidationError) as exc:
+            mk_corpus([pub("p1")], journals=[("J1", "J", impact_factor, ["F1"])])
+        assert exc.value.diagnostics == [
+            f"journals line 2: impact_factor must be finite and non-negative, got {impact_factor!r}"
+        ]
+
     def test_attribution_round_trip(self, tmp_path):
         corpus = mk_corpus(
             [pub("p1"), pub("p2")],

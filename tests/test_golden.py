@@ -1,0 +1,110 @@
+"""Byte-for-byte golden outputs of the CLI chain.
+
+Each case runs reconcile, benchmark, indicators (several slices), rank
+(CSV and JSON, two metrics) and trend in-process and compares every
+file it writes with the frozen copy under ``tests/golden/<case>/expected``.
+Two inputs are frozen:
+
+- ``synth``: a small seeded synthetic world (single-field records only);
+- ``fixture``: a hand-written corpus under ``tests/golden/fixture/input``
+  with multi-field records spanning two disciplines, a sub-unit rule,
+  unmatched and missing addresses, a degenerate (all-zero) benchmark
+  cell, and an ``--xcr-csv`` table with the (2003, F2) cell removed, so
+  the discipline-mean and exclusion paths are frozen too.
+
+The expected files are data, not a regeneration target: a change that
+alters them changes the engine's results.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from fieldimpact.cli import dispatch
+from fieldimpact.synth import build_world_spec
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SLICES = ("nation", "org", "discipline,year", "field,year", "org,field", "subunit")
+RANK_METRICS = ("mean_cx", "top_decile_mean_cx")
+TREND_METRICS = "mean_cx,top_share_pct,mean_cjx,weight"
+
+
+def synth_inputs(tmp_path: Path) -> dict:
+    spec = build_world_spec(
+        11, n_fields=4, years=(2001, 2004), annual_volume=25, n_orgs=6, coauthor_rate=0.3
+    )
+    spec_path = tmp_path / "synth.spec"
+    spec_path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+    world = tmp_path / "world"
+    assert dispatch(["synth", "--spec", str(spec_path), "--out-dir", str(world)]) == 0
+    return {
+        "pubs": world / "publications.jsonl",
+        "journals": world / "journals.csv",
+        "orgs": world / "orgs.csv",
+        "fields": world / "fieldscheme.csv",
+        "rules": world / "rules.tsv",
+        "benchmark_opts": [],
+        "min_weight": "5",
+    }
+
+
+def fixture_inputs(tmp_path: Path) -> dict:
+    src = GOLDEN / "fixture" / "input"
+    return {
+        "pubs": src / "publications.jsonl",
+        "journals": src / "journals.csv",
+        "orgs": src / "orgs.csv",
+        "fields": src / "fields.csv",
+        "rules": src / "rules.tsv",
+        "benchmark_opts": ["--xcr-csv", str(src / "xcr_partial.csv")],
+        "min_weight": "0",
+    }
+
+
+INPUTS = {"synth": synth_inputs, "fixture": fixture_inputs}
+
+
+def corpus_args(inputs: dict, pubs: Path) -> list[str]:
+    return [
+        "--pubs", str(pubs),
+        "--journals", str(inputs["journals"]),
+        "--orgs", str(inputs["orgs"]),
+        "--fields", str(inputs["fields"]),
+    ]
+
+
+def run_chain(inputs: dict, out: Path) -> None:
+    """Run every frozen command, writing all outputs into ``out``."""
+
+    def run(*argv: str) -> None:
+        assert dispatch(list(argv)) == 0, argv
+
+    run("reconcile", *corpus_args(inputs, inputs["pubs"]),
+        "--rules", str(inputs["rules"]), "--out-dir", str(out))
+    run("benchmark", *corpus_args(inputs, inputs["pubs"]), "--out-dir", str(out))
+    reconciled = corpus_args(inputs, out / "publications.reconciled.jsonl")
+    bm = inputs["benchmark_opts"]
+    for slice_spec in SLICES:
+        run("indicators", *reconciled, *bm, "--slice", slice_spec, "--out-dir", str(out))
+    for metric in RANK_METRICS:
+        for fmt in ("csv", "json"):
+            run("rank", *reconciled, *bm, "--metric", metric,
+                "--min-weight", inputs["min_weight"], "--limit", "20",
+                "--format", fmt, "--out", str(out / f"rank_org_{metric}.{fmt}"))
+    run("trend", *reconciled, *bm, "--slice", "discipline",
+        "--metrics", TREND_METRICS, "--out-dir", str(out))
+
+
+@pytest.mark.parametrize("case", sorted(INPUTS))
+def test_golden_outputs_byte_identical(case, tmp_path):
+    out = tmp_path / "out"
+    run_chain(INPUTS[case](tmp_path), out)
+    expected_dir = GOLDEN / case / "expected"
+    expected = sorted(p.name for p in expected_dir.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name

@@ -18,16 +18,14 @@ from fieldimpact.benchmarks import (
 from fieldimpact.corpus import Attribution, DocType, OrgType, PublicationRecord
 from fieldimpact.indicators import (
     IndicatorError,
-    StandardizedImpact,
     aggregate,
     concentration_index,
     concentration_index_from_shares,
     concentration_table,
     journal_standardized_impact,
     org_type_discipline_weights,
-    score_publications,
     standardized_impact,
-    top_decile_publications,
+    top_decile_mean,
     write_indicator_csv,
     write_indicator_json,
 )
@@ -391,40 +389,34 @@ class TestConcentration:
 
 class TestTopDecile:
     def scored(self, ratios):
-        return [
-            StandardizedImpact(f"p{i:02d}", r, None, False) for i, r in enumerate(ratios)
-        ]
+        return [(r, f"p{i:02d}") for i, r in enumerate(ratios)]
 
     def test_ten_ratios_takes_best_one(self):
         ratios = [round(0.1 * i, 1) for i in range(1, 11)]
-        subset, mean = top_decile_publications(self.scored(ratios))
-        assert [s.cites_over_xcr for s in subset] == [1.0]
+        subset, mean = top_decile_mean(self.scored(ratios))
+        assert [r for r, _ in subset] == [1.0]
         assert mean == 1.0
 
     def test_single_publication(self):
-        subset, mean = top_decile_publications(self.scored([0.7]))
+        subset, mean = top_decile_mean(self.scored([0.7]))
         assert len(subset) == 1
         assert mean == 0.7
 
     def test_constant_ratios_any_fraction(self):
         for fraction in (0.1, 0.35, 1.0):
-            _, mean = top_decile_publications(self.scored([0.4] * 7), fraction)
+            _, mean = top_decile_mean(self.scored([0.4] * 7), fraction)
             assert mean == pytest.approx(0.4)
 
     def test_tie_break_by_publication_id(self):
-        scored = [
-            StandardizedImpact("pB", 2.0, None, False),
-            StandardizedImpact("pA", 2.0, None, False),
-            StandardizedImpact("pC", 1.0, None, False),
-        ]
-        subset, _ = top_decile_publications(scored, 0.34)
-        assert [s.publication_id for s in subset] == ["pA", "pB"]
+        scored = [(2.0, "pB"), (2.0, "pA"), (1.0, "pC")]
+        subset, _ = top_decile_mean(scored, 0.34)
+        assert [pid for _, pid in subset] == ["pA", "pB"]
 
     def test_ceil_oracle_over_sizes(self):
         # Enumeration oracle: mean of the k=ceil(f*n) largest values.
         for n in (1, 2, 9, 10, 11, 25):
             ratios = [((i * 13) % n) / max(n - 1, 1) for i in range(n)]
-            subset, mean = top_decile_publications(self.scored(ratios))
+            subset, mean = top_decile_mean(self.scored(ratios))
             k = math.ceil(0.1 * n)
             assert len(subset) == k
             expected = sum(sorted(ratios, reverse=True)[:k]) / k
@@ -433,14 +425,15 @@ class TestTopDecile:
 
 class TestScoreAndEmit:
     def test_score_publications_flags(self):
+        # p2's (2007, F1) cell is missing: excluded and counted, never scored.
         corpus = mk_corpus([pub("p1", citations=4), pub("p2", year=2007, citations=1)])
         bm = tables({(2003, "F1"): 4.0}, {(2003, "J1"): 2.0})
         top = TopJournalSet({"F1": frozenset({"J1"})}, 0.10)
-        scores, excluded = score_publications(corpus, bm, top)
-        assert len(scores) == 1 and len(excluded) == 1
-        assert scores[0].cites_over_xcr == 1.0
-        assert scores[0].cites_over_jxcr == 2.0
-        assert scores[0].is_top_journal
+        [row] = aggregate(corpus, ("nation",), bm, top)
+        assert row.n_pubs == 1 and row.n_excluded == 1
+        assert row.mean_cx == 1.0
+        assert row.mean_cjx == 2.0
+        assert row.top_share_pct == 100.0
 
     def test_csv_four_decimals_and_json_full_precision(self, tmp_path):
         corpus = mk_corpus([pub("p1", citations=1), pub("p2", citations=2)])
