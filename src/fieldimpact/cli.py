@@ -44,7 +44,7 @@ from .indicators import (
     write_indicator_json,
 )
 from .reconcile import compile_rules, reconcile_corpus
-from .reporting import FORMATS, RankingSpec, default_filename, emit, rank, render
+from .reporting import FORMATS, RankingSpec, ReportError, default_filename, emit, rank, render
 from .synth import distortion_demo, generate_corpus, load_spec
 from .trends import GrowthError, annual_series, series_growth, write_trend_csv
 
@@ -188,6 +188,13 @@ def _finite(value) -> float:
     return number
 
 
+def _integer(value) -> int:
+    """An int, or a float with an integral value; bools and fractions are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _opt(args, config, key, default=None, convert=str):
     """A flag's value, else the config's, else the default, passed through
     `convert`; a value that does not convert is a usage error."""
@@ -241,7 +248,7 @@ def _fraction(args, config) -> float:
 
 
 def _threads(args, config) -> int:
-    threads = _opt(args, config, "threads", 1, int)
+    threads = _opt(args, config, "threads", 1, _integer)
     if threads < 1:
         raise UsageError("--threads must be >= 1")
     return threads
@@ -356,12 +363,17 @@ def _cmd_rank(args, config) -> int:
     group_by = _opt(args, config, "group_by", "org")
     metric = _opt(args, config, "metric", "mean_cx")
     min_weight = _opt(args, config, "min_weight", 50.0, _finite)
-    limit = _opt(args, config, "limit", 10, int)
+    limit = _opt(args, config, "limit", 10, _integer)
     fmt = _opt(args, config, "fmt", "csv")
     discipline = _opt(args, config, "discipline")
     field_filter = _opt(args, config, "field_filter")
     if discipline and field_filter:
         raise UsageError("--discipline and --field are mutually exclusive")
+    slice_label = group_by + (f"_{discipline or field_filter}" if (discipline or field_filter) else "")
+    try:
+        spec = RankingSpec(slice_label=slice_label, rank_metric=metric, min_weight=min_weight, limit=limit)
+    except ReportError as exc:
+        raise UsageError(str(exc)) from None
 
     corpus = _maybe_reconcile(args, config, _load_corpus(args, config))
     benchmarks, top_set = _load_benchmarks(args, config, corpus)
@@ -379,8 +391,6 @@ def _cmd_rank(args, config) -> int:
     elif field_filter:
         rows = _filter_entity(rows, "field", field_filter)
 
-    slice_label = group_by + (f"_{discipline or field_filter}" if (discipline or field_filter) else "")
-    spec = RankingSpec(slice_label=slice_label, rank_metric=metric, min_weight=min_weight, limit=limit)
     table = rank(rows, spec)
     out_opt = _opt(args, config, "out")
     if out_opt == "-":
@@ -448,7 +458,7 @@ def _cmd_synth(args, config) -> int:
 def _cmd_demo(args, config) -> int:
     fmt = _opt(args, config, "fmt", "markdown")
     kwargs = {}
-    seed = _opt(args, config, "seed", convert=int)
+    seed = _opt(args, config, "seed", convert=_integer)
     if seed is not None:
         kwargs["seed"] = seed
     out_dir = _opt(args, config, "out_dir")

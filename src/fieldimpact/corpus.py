@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
@@ -92,9 +92,6 @@ class PublicationRecord:
     addresses: tuple[str, ...] = ()
     attributions: tuple[Attribution, ...] = ()
 
-    def attributed_weight(self) -> Fraction:
-        return sum((a.weight for a in self.attributions), Fraction(0))
-
 
 @dataclass(frozen=True, slots=True)
 class Journal:
@@ -163,37 +160,6 @@ class Corpus:
             n_organizations=len(self.organizations),
             doc_type_counts=counts,
         )
-
-    def with_attributions(
-        self, attributions: Mapping[str, tuple[Attribution, ...]]
-    ) -> "Corpus":
-        """Return a new corpus with per-record attributions applied.
-
-        Records absent from the mapping keep empty attributions. Weight
-        sums are re-validated (must equal 1 exactly when non-empty).
-        """
-        diagnostics: list[str] = []
-        validated: set[tuple[Attribution, ...]] = set()
-        new_records = []
-        for rec in self.records:
-            atts = tuple(attributions.get(rec.id, ()))
-            if atts and atts not in validated:
-                total = sum((a.weight for a in atts), Fraction(0))
-                if total != 1:
-                    diagnostics.append(
-                        f"record {rec.id}: attribution weights sum to {total}, expected 1"
-                    )
-                for a in atts:
-                    if a.org_id not in self.organizations:
-                        diagnostics.append(
-                            f"record {rec.id}: unknown organization {a.org_id!r}"
-                        )
-                if not diagnostics:
-                    validated.add(atts)
-            new_records.append(replace(rec, attributions=atts))
-        if diagnostics:
-            raise CorpusValidationError(diagnostics)
-        return replace(self, records=tuple(new_records))
 
 
 def doc_type_shares(counts: Mapping[str, int]) -> dict[str, float]:

@@ -143,7 +143,6 @@ def aggregate(
     top_set: TopJournalSet,
     *,
     with_top_decile: bool = False,
-    decile_fraction: float = 0.10,
 ) -> list[IndicatorRow]:
     """Aggregate standardized impacts over the requested grouping keys.
 
@@ -151,7 +150,9 @@ def aggregate(
     1 per publication elsewhere; a multi-field publication belongs to
     every field/discipline group it maps to. Publications whose required
     benchmark cells are missing or degenerate are excluded from the
-    group and counted in its n_excluded. Empty groups are omitted.
+    group and counted in its n_excluded. Empty groups are omitted. On
+    the `subunit` key, a share attributed to an organization as a whole
+    is labelled with the organization's id.
     """
     keys = _validate_slice(slice_spec)
     org_sliced = any(k in _ORG_KEYS for k in keys)
@@ -192,7 +193,9 @@ def aggregate(
                     {
                         "org_type": corpus.organizations[att.org_id].org_type.value,
                         "org": att.org_id,
-                        "subunit": att.subunit_id or "",
+                        # An org-level share is labelled with its organization;
+                        # org and sub-unit ids share one registry.
+                        "subunit": att.subunit_id or att.org_id,
                     },
                 )
                 for att in rec.attributions
@@ -255,7 +258,7 @@ def aggregate(
         mean_cjx = math.fsum(acc.wcjx_parts) / float(cjx_exact) if cjx_exact > 0 else None
         top_decile = None
         if acc.scored:
-            _, top_decile = top_decile_mean(acc.scored, decile_fraction)
+            _, top_decile = top_decile_mean(acc.scored)
         rows.append(
             IndicatorRow(
                 entity=key,

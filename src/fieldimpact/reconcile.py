@@ -13,12 +13,13 @@ import csv
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Mapping
 
-from .corpus import Attribution, Corpus, CorpusError, Organization, _open_out, _open_text
+from .corpus import (Attribution, Corpus, CorpusError, CorpusValidationError, Organization,
+                     PublicationRecord, _open_out, _open_text)
 
 _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
 
@@ -61,30 +62,18 @@ class RuleConflict:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Ordered rules plus the compile-time conflict report.
-
-    Match results are memoized per distinct normalized address.
-    """
+    """Ordered rules plus the compile-time conflict report."""
 
     rules: tuple[Rule, ...]
     conflicts: tuple[RuleConflict, ...]
     warnings: tuple[str, ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def match(self, normalized: str) -> Rule | None:
-        hit = self._cache.get(normalized, _MISS)
-        if hit is not _MISS:
-            return hit
-        found = None
+        """The first rule in file order whose pattern occurs in `normalized`."""
         for rule in self.rules:
             if rule.pattern in normalized:
-                found = rule
-                break
-        self._cache[normalized] = found
-        return found
-
-
-_MISS = object()
+                return rule
+        return None
 
 
 def compile_rules(
@@ -201,11 +190,26 @@ class ReconcileResult:
 _SAMPLE_IDS = 5
 
 
-def _attributions_for(matches: list[tuple[str, str | None]]) -> tuple[Attribution, ...]:
-    """Distinct targets weighted 1/m per organization, split over its sub-units."""
+def _attributions_for(
+    matches: list[tuple[str, str | None]], organizations: Mapping[str, Organization]
+) -> tuple[Attribution, ...]:
+    """Distinct targets weighted 1/m per organization, split over its sub-units.
+
+    A target missing from `organizations`, or a sub-unit that belongs to
+    another organization there (rules compiled against other registries),
+    raises CorpusValidationError.
+    """
     by_org: dict[str, set[str | None]] = {}
-    for org_id, subunit_id in matches:
+    unknown = []
+    for org_id, subunit_id in dict.fromkeys(matches):
+        if org_id not in organizations or subunit_id is not None and (
+            getattr(organizations.get(subunit_id), "parent_id", None) != org_id
+        ):
+            target = org_id if subunit_id is None else f"{org_id}/{subunit_id}"
+            unknown.append(f"rule target {target} does not match the corpus's organizations")
         by_org.setdefault(org_id, set()).add(subunit_id)
+    if unknown:
+        raise CorpusValidationError(unknown)
     m = len(by_org)
     return tuple(
         Attribution(org_id, subunit_id, Fraction(1, m * len(subunits)))
@@ -222,20 +226,25 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     1/m (m = number of distinct matched organizations); when several
     sub-unit targets of the same organization match, that organization's
     1/m is split equally among them, so weights always sum to exactly 1.
-    Records with no match keep empty attributions. `threads` is accepted
-    for compatibility and has no effect: reconciliation runs in one pass.
+    Records with no match get empty attributions, replacing any they
+    carried. Records are rebuilt in the matching pass itself; each
+    distinct match profile is checked once against `corpus.organizations`.
+    `threads` is accepted for compatibility and has no effect.
     """
     records = corpus.records
     # Raw address strings repeat heavily in real exports; memoizing the
-    # normalization keeps the per-record cost at two dict lookups.
+    # normalization and the first-match target (None: no rule matched)
+    # keeps the per-address cost at two dict lookups.
     norm_cache: dict[str, str] = {}
-    attributions: dict[str, tuple[Attribution, ...]] = {}
+    target_cache: dict[str, tuple[str, str | None] | None] = {}
     unmatched_counts: dict[str, int] = {}
     unmatched_samples: dict[str, list[str]] = {}
     total_addresses = 0
     matched_addresses = 0
+    n_attributed = 0
     # Distinct match profiles are few; share one attribution tuple per profile.
     att_cache: dict[tuple, tuple[Attribution, ...]] = {}
+    out: list[PublicationRecord] = []
 
     for rec in records:
         matches = []
@@ -243,23 +252,30 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
             normalized = norm_cache.get(raw)
             if normalized is None:
                 normalized = norm_cache.setdefault(raw, normalize_address(raw))
-            rule = rules.match(normalized) if normalized else None
-            if rule is not None:
-                matches.append(rule.target)
+            target = target_cache.get(normalized, False)
+            if target is False:
+                target = target_cache[normalized] = match_address(normalized, rules)
+            if target is not None:
+                matches.append(target)
                 continue
             unmatched_counts[normalized] = unmatched_counts.get(normalized, 0) + 1
             sample = unmatched_samples.setdefault(normalized, [])
             if len(sample) < _SAMPLE_IDS and rec.id not in sample:
                 sample.append(rec.id)
         total_addresses += len(rec.addresses)
-        if not matches:
-            continue
-        matched_addresses += len(matches)
-        profile = tuple(matches)
-        atts = att_cache.get(profile)
-        if atts is None:
-            atts = att_cache.setdefault(profile, _attributions_for(matches))
-        attributions[rec.id] = atts
+        atts = ()
+        if matches:
+            matched_addresses += len(matches)
+            n_attributed += 1
+            profile = tuple(matches)
+            atts = att_cache.get(profile)
+            if atts is None:
+                atts = att_cache[profile] = _attributions_for(matches, corpus.organizations)
+        if atts or rec.attributions:
+            # Positional construction costs a fraction of dataclasses.replace.
+            rec = PublicationRecord(rec.id, rec.year, rec.doc_type, rec.journal_id,
+                                    rec.field_ids, rec.citations, rec.addresses, atts)
+        out.append(rec)
 
     entries = tuple(
         UnmatchedAddress(addr, count, tuple(unmatched_samples[addr]))
@@ -269,11 +285,11 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
         total_addresses=total_addresses,
         matched_addresses=matched_addresses,
         n_records=len(records),
-        n_attributed=len(attributions),
-        n_unattributed=len(records) - len(attributions),
+        n_attributed=n_attributed,
+        n_unattributed=len(records) - n_attributed,
     )
     return ReconcileResult(
-        corpus=corpus.with_attributions(attributions),
+        corpus=replace(corpus, records=tuple(out)),
         unmatched=UnmatchedReport(entries),
         stats=stats,
     )

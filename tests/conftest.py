@@ -86,6 +86,11 @@ def pub(
     return record
 
 
+def att(org: str, weight: str = "1", subunit: str | None = None) -> dict:
+    """One attribution as the publications JSONL carries it."""
+    return {"org": org, "subunit": subunit, "weight": weight}
+
+
 @pytest.fixture
 def tiny_corpus_files(tmp_path):
     """The three-record fixture used by CLI-facing tests."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fieldimpact import cli
 from fieldimpact.cli import dispatch
 from fieldimpact.synth import build_world_spec
 
@@ -248,6 +249,54 @@ class TestBadInputDiagnostics:
         )
         assert code == 2
         assert err == ["usage error: invalid value for limit: 'x'"]
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--limit", "0"], "limit must be >= 1"),
+            (["--metric", "bogus"], "unknown metric 'bogus', allowed: "),
+        ],
+    )
+    def test_bad_rank_option_fails_before_ingest(self, tiny_corpus_files, capsys, monkeypatch, option, message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_ingest)
+        code, err = self.run(
+            ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             *option, "--out", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("usage error: " + message)
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("rank", {"limit": 1.9}),
+            ("rank", {"limit": True}),
+            ("reconcile", {"threads": 2.5}),
+            ("demo-distortion", {"seed": 0.5}),
+        ],
+    )
+    def test_config_integer_not_integral(self, tiny_corpus_files, capsys, command, config):
+        path = self.write(tiny_corpus_files, "run.json", json.dumps(config))
+        files = args_corpus(tiny_corpus_files, "--rules", str(tiny_corpus_files["rules"]))
+        argv = [command, *(files if command != "demo-distortion" else []), "--config", str(path),
+                "--out-dir", str(tiny_corpus_files["dir"] / "out")]
+        code, err = self.run(argv, capsys)
+        (key, value), = config.items()
+        assert code == 2
+        assert err == [f"usage error: invalid value for {key}: {value!r}"]
+
+    def test_config_integral_float_accepted(self, tiny_corpus_files, capsys):
+        config = self.write(tiny_corpus_files, "run.json", json.dumps({"limit": 1.0}))
+        code = dispatch(
+            ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--min-weight", "0", "--config", str(config), "--out", "-"]
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2  # header and one row
 
     def test_config_min_weight_not_finite(self, tiny_corpus_files, capsys):
         config = self.write(tiny_corpus_files, "run.json", json.dumps({"min_weight": "nan"}))

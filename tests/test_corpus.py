@@ -14,7 +14,7 @@ from fieldimpact.corpus import (
 )
 from fractions import Fraction
 
-from conftest import jsonl, journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
+from conftest import att, jsonl, journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
 
 
 class TestParseCorpus:
@@ -111,12 +111,12 @@ class TestParseCorpus:
         ]
 
     def test_attribution_round_trip(self, tmp_path):
-        corpus = mk_corpus(
-            [pub("p1"), pub("p2")],
+        attributed = mk_corpus(
+            [pub("p1", attributions=[att("A", "1/2"), att("B", "1/2")]), pub("p2")],
             orgs=[("A", "Alpha", "U", None), ("B", "Beta", "RI", None)],
         )
-        attributed = corpus.with_attributions(
-            {"p1": (Attribution("A", None, Fraction(1, 2)), Attribution("B", None, Fraction(1, 2)))}
+        assert attributed.records[0].attributions == (
+            Attribution("A", None, Fraction(1, 2)), Attribution("B", None, Fraction(1, 2))
         )
         path = tmp_path / "round.jsonl"
         write_publications_jsonl(attributed, path)
@@ -129,9 +129,11 @@ class TestParseCorpus:
         assert reloaded.records == attributed.records
 
     def test_attribution_weights_must_sum_to_one(self):
-        corpus = mk_corpus([pub("p1")])
-        with pytest.raises(CorpusValidationError):
-            corpus.with_attributions({"p1": (Attribution("ORG_A", None, Fraction(1, 2)),)})
+        with pytest.raises(CorpusValidationError) as exc:
+            mk_corpus([pub("p1", attributions=[att("ORG_A", "1/2")])])
+        assert exc.value.diagnostics == [
+            "publications line 1 (record p1): attribution weights must sum to exactly 1"
+        ]
 
 
 class TestDocTypeShares:

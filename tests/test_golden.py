@@ -108,3 +108,13 @@ def test_golden_outputs_byte_identical(case, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
+def test_rank_by_subunit_has_no_empty_entity(tmp_path, capsys):
+    """Org-level shares rank under their organization's id, not as one blank entity."""
+    inputs = fixture_inputs(tmp_path)
+    code = dispatch(["rank", *corpus_args(inputs, inputs["pubs"]), "--rules", str(inputs["rules"]),
+                     "--group-by", "subunit", "--min-weight", "0", "--limit", "20", "--out", "-"])
+    assert code == 0
+    entities = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sorted(entities) == ["A", "A_LAB", "B", "C"]

@@ -15,7 +15,7 @@ from fieldimpact.benchmarks import (
     classify_top_journals,
     compute_benchmarks,
 )
-from fieldimpact.corpus import Attribution, DocType, OrgType, PublicationRecord
+from fieldimpact.corpus import DocType, OrgType, PublicationRecord
 from fieldimpact.indicators import (
     IndicatorError,
     aggregate,
@@ -30,7 +30,7 @@ from fieldimpact.indicators import (
     write_indicator_json,
 )
 
-from conftest import mk_corpus, pub
+from conftest import att, mk_corpus, pub
 
 
 def record(id="p1", year=2003, journal="J1", fields=("F1",), citations=0):
@@ -164,14 +164,11 @@ class TestAggregate:
 
     def test_org_slice_uses_fractional_weights(self):
         corpus = mk_corpus(
-            [pub("p1", citations=4), pub("p2", citations=8)],
+            [
+                pub("p1", citations=4, attributions=[att("A", "1/2"), att("B", "1/2")]),
+                pub("p2", citations=8, attributions=[att("A")]),
+            ],
             orgs=[("A", "Alpha", "U", None), ("B", "Beta", "RI", None)],
-        )
-        corpus = corpus.with_attributions(
-            {
-                "p1": (Attribution("A", None, Fraction(1, 2)), Attribution("B", None, Fraction(1, 2))),
-                "p2": (Attribution("A", None, Fraction(1)),),
-            }
         )
         bm = tables({(2003, "F1"): 4.0})
         rows = aggregate(corpus, ("org",), bm, NO_TOP)
@@ -181,8 +178,9 @@ class TestAggregate:
         assert by_org["B"].weight_exact == Fraction(1, 2)
 
     def test_unattributed_records_kept_in_national_dropped_from_org(self):
-        corpus = mk_corpus([pub("p1", citations=2), pub("p2", citations=2)])
-        corpus = corpus.with_attributions({"p1": (Attribution("ORG_A", None, Fraction(1)),)})
+        corpus = mk_corpus(
+            [pub("p1", citations=2, attributions=[att("ORG_A")]), pub("p2", citations=2)]
+        )
         bm = tables({(2003, "F1"): 2.0})
         assert aggregate(corpus, ("nation",), bm, NO_TOP)[0].weight == 2.0
         org_rows = aggregate(corpus, ("org",), bm, NO_TOP)
@@ -225,21 +223,15 @@ class TestAggregate:
 
     def test_rank_invariance_under_field_year_scaling(self):
         def build(k: int):
-            weights = {
-                "p1": (Attribution("A", None, Fraction(1)),),
-                "p2": (Attribution("B", None, Fraction(1)),),
-                "p3": (Attribution("C", None, Fraction(1)),),
-                "p4": (Attribution("A", None, Fraction(1)),),
-            }
             corpus = mk_corpus(
                 [
-                    pub("p1", citations=9 * k),
-                    pub("p2", citations=5 * k),
-                    pub("p3", citations=2 * k),
-                    pub("p4", year=2004, citations=7),
+                    pub("p1", citations=9 * k, attributions=[att("A")]),
+                    pub("p2", citations=5 * k, attributions=[att("B")]),
+                    pub("p3", citations=2 * k, attributions=[att("C")]),
+                    pub("p4", year=2004, citations=7, attributions=[att("A")]),
                 ],
                 orgs=[("A", "a", "U", None), ("B", "b", "RI", None), ("C", "c", "H", None)],
-            ).with_attributions(weights)
+            )
             bm = compute_benchmarks(corpus)
             return aggregate(corpus, ("org",), bm, NO_TOP)
 
@@ -296,13 +288,11 @@ class TestAggregate:
 
     def test_org_type_slice_groups_across_orgs(self):
         corpus = mk_corpus(
-            [pub("p1", citations=2), pub("p2", citations=4)],
+            [
+                pub("p1", citations=2, attributions=[att("U1", "1/2"), att("H1", "1/2")]),
+                pub("p2", citations=4, attributions=[att("U2")]),
+            ],
             orgs=[("U1", "u1", "U", None), ("U2", "u2", "U", None), ("H1", "h1", "H", None)],
-        ).with_attributions(
-            {
-                "p1": (Attribution("U1", None, Fraction(1, 2)), Attribution("H1", None, Fraction(1, 2))),
-                "p2": (Attribution("U2", None, Fraction(1)),),
-            }
         )
         bm = tables({(2003, "F1"): 2.0})
         rows = aggregate(corpus, ("org_type",), bm, NO_TOP)
@@ -333,25 +323,18 @@ class TestConcentration:
             concentration_index_from_shares(10.0, 0.0)
 
     def corpus_three_types(self):
-        corpus = mk_corpus(
+        return mk_corpus(
             [
-                pub("p1", fields=["F1"], citations=1),
-                pub("p2", fields=["F1", "F2"], citations=1),
-                pub("p3", fields=["F2"], citations=1),
-                pub("p4", fields=["F2"], citations=1),
+                pub("p1", fields=["F1"], citations=1, attributions=[att("U1")]),
+                pub("p2", fields=["F1", "F2"], citations=1,
+                    attributions=[att("U1", "1/2"), att("R1", "1/2")]),
+                pub("p3", fields=["F2"], citations=1, attributions=[att("H1")]),
+                pub("p4", fields=["F2"], citations=1, attributions=[att("R1")]),
+                # p5 unattributed: excluded from both populations
                 pub("p5", fields=["F1"], citations=1),
             ],
             orgs=[("U1", "u", "U", None), ("R1", "r", "RI", None), ("H1", "h", "H", None)],
             scheme={"F1": "Physics", "F2": "Biology"},
-        )
-        return corpus.with_attributions(
-            {
-                "p1": (Attribution("U1", None, Fraction(1)),),
-                "p2": (Attribution("U1", None, Fraction(1, 2)), Attribution("R1", None, Fraction(1, 2))),
-                "p3": (Attribution("H1", None, Fraction(1)),),
-                "p4": (Attribution("R1", None, Fraction(1)),),
-                # p5 unattributed: excluded from both populations
-            }
         )
 
     def test_concentration_from_corpus(self):

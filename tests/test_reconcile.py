@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldimpact.corpus import CorpusValidationError
 from fieldimpact.reconcile import (
     RuleError,
     RuleSet,
@@ -14,7 +15,7 @@ from fieldimpact.reconcile import (
     reconcile_corpus,
 )
 
-from conftest import mk_corpus, pub
+from conftest import att, mk_corpus, pub
 
 ORGS3 = [
     ("ORG_TV", "Tor Vergata", "U", None),
@@ -210,3 +211,45 @@ class TestReconcileCorpus:
         rec = reconcile_corpus(corpus, rs).corpus.records[0]
         if rec.attributions:
             assert sum((a.weight for a in rec.attributions), Fraction(0)) == 1
+
+    def test_stale_attributions_cleared_when_nothing_matches(self):
+        corpus = mk_corpus(
+            [pub("p1", addresses=["mystery place"], attributions=[att("ORG_B")])], orgs=ORGS3
+        )
+        result = reconcile_corpus(corpus, ruleset("org alpha\tORG_A\n"))
+        assert result.corpus.records[0].attributions == ()
+        assert result.stats.n_unattributed == 1
+
+
+class TestRuleTargetGuard:
+    """A rule set compiled for other registries cannot attribute to unknown targets."""
+
+    ORGS = ORGS3 + [("SUB1", "Sub One", "RI", "ORG_B")]
+
+    def test_unknown_organization_raises(self):
+        rs = ruleset("org beta\tORG_B\n", orgs=self.ORGS)
+        corpus = mk_corpus([pub("p1", addresses=["org beta lab"])], orgs=ORGS3[:2])
+        with pytest.raises(CorpusValidationError) as exc:
+            reconcile_corpus(corpus, rs)
+        assert exc.value.diagnostics == ["rule target ORG_B does not match the corpus's organizations"]
+
+    def test_unknown_subunit_raises(self):
+        rs = ruleset("beta sub one\tORG_B\tSUB1\n", orgs=self.ORGS)
+        corpus = mk_corpus([pub("p1", addresses=["beta sub one"])], orgs=ORGS3)
+        with pytest.raises(CorpusValidationError) as exc:
+            reconcile_corpus(corpus, rs)
+        assert exc.value.diagnostics == ["rule target ORG_B/SUB1 does not match the corpus's organizations"]
+
+    def test_subunit_of_another_organization_raises(self):
+        rs = ruleset("beta sub one\tORG_B\tSUB1\n", orgs=self.ORGS)
+        corpus = mk_corpus(
+            [pub("p1", addresses=["beta sub one"])], orgs=ORGS3 + [("SUB1", "Sub One", "U", "ORG_A")]
+        )
+        with pytest.raises(CorpusValidationError, match="rule target ORG_B/SUB1 does not match"):
+            reconcile_corpus(corpus, rs)
+
+    def test_unmatched_targets_are_not_checked(self):
+        rs = ruleset("org beta\tORG_B\norg alpha\tORG_A\n", orgs=self.ORGS)
+        corpus = mk_corpus([pub("p1", addresses=["org alpha"])], orgs=ORGS3[:2])
+        rec = reconcile_corpus(corpus, rs).corpus.records[0]
+        assert [(a.org_id, a.weight) for a in rec.attributions] == [("ORG_A", Fraction(1))]
