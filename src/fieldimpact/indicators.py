@@ -79,9 +79,6 @@ class IndicatorRow:
     def entity_id(self) -> str:
         return _entity_id(self.entity)
 
-    def entity_dict(self) -> dict[str, object]:
-        return dict(self.entity)
-
     def value(self, metric: str) -> float | None:
         if metric == "weight":
             return self.weight

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from fieldimpact.corpus import Corpus, parse_corpus
+from fieldimpact.reconcile import RuleConflict
 
 
 def jsonl(pubs: list[dict]) -> str:
@@ -89,6 +90,26 @@ def pub(
 def att(org: str, weight: str = "1", subunit: str | None = None) -> dict:
     """One attribution as the publications JSONL carries it."""
     return {"org": org, "subunit": subunit, "weight": weight}
+
+
+def first_match_oracle(normalized: str, rules):
+    """Scan every rule in file order and return the first whose pattern
+    occurs in the address; independent of the engine's lookup path."""
+    for rule in rules.rules:
+        if rule.pattern in normalized:
+            return rule
+    return None
+
+
+def conflict_oracle(rules) -> tuple[RuleConflict, ...]:
+    """Compare every pair of rules in file order: a conflict is one pattern
+    inside the other with different targets. Independent of the gram index."""
+    return tuple(
+        RuleConflict(a, b)
+        for i, a in enumerate(rules.rules)
+        for b in rules.rules[i + 1 :]
+        if a.target != b.target and (a.pattern in b.pattern or b.pattern in a.pattern)
+    )
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from fieldimpact.synth import (
 )
 from fieldimpact.trends import avg_annual_increase
 
-from conftest import jsonl, journals_csv, orgs_csv, pub, scheme_csv
+from conftest import first_match_oracle, jsonl, journals_csv, orgs_csv, pub, scheme_csv
 
 
 @contextmanager
@@ -243,15 +243,6 @@ FIXTURE_ADDRESSES = [
     ("OSPG", "san giovanni hosp torino italy"),
     ("OSPG", "Clin Chir, Ospedale S. Giovanni di Dio"),
 ]
-
-
-def first_match_oracle(normalized: str, rules):
-    """Scan every rule in file order and return the first whose pattern
-    occurs in the address; independent of the engine's lookup path."""
-    for rule in rules.rules:
-        if rule.pattern in normalized:
-            return rule
-    return None
 
 
 def test_criterion_7_reconciliation_fixture(tmp_path):

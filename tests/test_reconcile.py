@@ -1,4 +1,6 @@
 import io
+import re
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from fieldimpact.reconcile import (
     reconcile_corpus,
 )
 
-from conftest import att, mk_corpus, pub
+from conftest import att, conflict_oracle, first_match_oracle, mk_corpus, pub
 
 ORGS3 = [
     ("ORG_TV", "Tor Vergata", "U", None),
@@ -28,6 +30,13 @@ def ruleset(text: str, orgs=None) -> RuleSet:
     registry = {o[0]: o for o in (orgs or ORGS3)}
     corpus = mk_corpus([pub("p1")], orgs=orgs or ORGS3)
     return compile_rules(io.StringIO(text), corpus.organizations)
+
+
+def two_step_normalize(raw: str) -> str:
+    """The reference normalizer: NFKD and combining-mark removal on every input."""
+    decomposed = unicodedata.normalize("NFKD", raw)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return re.sub(r"[^0-9a-z]+", " ", stripped.lower()).strip()
 
 
 class TestNormalize:
@@ -45,6 +54,10 @@ class TestNormalize:
     def test_is_lowercase_alnum_single_spaced(self):
         out = normalize_address("A--B   ç,; (x) 42")
         assert out == "a b c x 42"
+
+    @given(st.text(max_size=60) | st.text(st.characters(max_codepoint=127), max_size=60))
+    def test_equals_two_step_reference(self, s):
+        assert normalize_address(s) == two_step_normalize(s)
 
 
 class TestCompileRules:
@@ -122,6 +135,54 @@ class TestMatchAddress:
         before = match_address(address, rs_before)
         if before is not None:
             assert match_address(address, rs_after) == before
+
+
+# Patterns over a three-letter alphabet share 4-grams and nest in each other.
+PATTERN = st.text("abc ", min_size=1, max_size=9).filter(lambda p: p.strip())
+TARGET = st.sampled_from(["ORG_A", "ORG_B", "ORG_TV"])
+
+
+@st.composite
+def rule_files(draw):
+    """Rule lines that always hold a pattern shorter than 4 characters, one
+    pattern with two targets, and one pattern nested in another."""
+    lines = draw(st.lists(st.tuples(PATTERN, TARGET), max_size=25))
+    short = draw(st.text("abc", min_size=1, max_size=3))
+    twice = draw(PATTERN)
+    inner = draw(PATTERN)
+    special = [(short, draw(TARGET)), (twice, "ORG_A"), (twice, "ORG_B"), (inner, draw(TARGET)),
+               (draw(PATTERN) + inner + draw(PATTERN), draw(TARGET))]
+    for line in special:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "".join(f"{p}\t{t}\n" for p, t in lines)
+
+
+class TestGramIndex:
+    """The gram index against the linear first-match scan and the pairwise conflict check."""
+
+    @given(rule_files(), st.lists(st.text("abc ", max_size=24), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_match_equals_linear_oracle(self, text, addresses):
+        rs = ruleset(text)
+        for address in [normalize_address(a) for a in addresses] + [r.pattern for r in rs.rules]:
+            assert rs.match(address) is first_match_oracle(address, rs)
+
+    @given(rule_files())
+    @settings(max_examples=150, deadline=None)
+    def test_conflicts_equal_pairwise_oracle(self, text):
+        rs = ruleset(text)
+        assert rs.conflicts == conflict_oracle(rs)
+
+    @given(rule_files())
+    @settings(max_examples=60, deadline=None)
+    def test_compiles_are_equal_and_hashable(self, text):
+        first, second = ruleset(text), ruleset(text)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        rebuilt = RuleSet(first.rules, first.conflicts, first.warnings)
+        assert rebuilt == first and hash(rebuilt) == hash(first)
+        for rule in first.rules:
+            assert rebuilt.match(rule.pattern) is first.match(rule.pattern)
 
 
 class TestReconcileCorpus:
