@@ -193,6 +193,8 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
                 year, key, n, mean = int(row[0]), row[1].strip(), int(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise BenchmarkError(f"benchmark CSV line {lineno}: {exc}") from exc
+            if not key:
+                raise BenchmarkError(f"benchmark CSV line {lineno}: empty {key_col}")
             if n < 1:
                 raise BenchmarkError(f"benchmark CSV line {lineno}: n must be >= 1")
             if not math.isfinite(mean) or mean < 0:

@@ -69,7 +69,7 @@ def dispatch(argv: list[str]) -> int:
     if getattr(args, "config", None):
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
         if not isinstance(config, dict):

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
@@ -228,6 +229,10 @@ def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None
     The diagnostic list is complete (every violated constraint), and the
     record is None whenever any diagnostic is present.
     """
+    return _validate(raw, None)
+
+
+def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[PublicationRecord | None, list[str]]:
     diagnostics: list[str] = []
 
     rec_id = raw.get("id")
@@ -281,7 +286,7 @@ def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None
         addresses = tuple(addresses_raw)
 
     # Optional extension: reconciled corpora round-trip their attributions.
-    attributions = _parse_attributions(raw.get("attributions"), diagnostics)
+    attributions = _memo_attributions(raw.get("attributions"), diagnostics, memo)
 
     if diagnostics:
         return None, diagnostics
@@ -296,6 +301,25 @@ def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None
         attributions=attributions,
     )
     return record, []
+
+
+def _memo_attributions(raw: object, diagnostics: list[str], memo: dict | None) -> tuple[Attribution, ...]:
+    """`_parse_attributions` through `memo`, keyed by (org, subunit, weight) when
+    every item holds JSON strings as `write_publications_jsonl` writes them.
+    Other types stay out of the key (`1` and `true` compare equal but do not
+    both validate); only lists that validate are stored."""
+    if memo is None or type(raw) is not list or not all(type(item) is dict for item in raw):
+        return _parse_attributions(raw, diagnostics)
+    key = tuple((item.get("org"), item.get("subunit"), item.get("weight")) for item in raw)
+    if not all(type(o) is str and type(w) is str and (s is None or type(s) is str) for o, s, w in key):
+        return _parse_attributions(raw, diagnostics)
+    parsed = memo.get(key)
+    if parsed is None:
+        n_diagnostics = len(diagnostics)
+        parsed = _parse_attributions(raw, diagnostics)
+        if len(diagnostics) == n_diagnostics:
+            memo[key] = parsed
+    return parsed
 
 
 def _parse_attributions(raw: object, diagnostics: list[str]) -> tuple[Attribution, ...]:
@@ -331,13 +355,25 @@ def _parse_attributions(raw: object, diagnostics: list[str]) -> tuple[Attributio
 PathOrIO = str | Path | IO[str]
 
 
+@contextmanager
 def _open_text(source: PathOrIO):
-    """Yield a text stream for a path or an already-open file object."""
+    """Yield a text stream for a path or an already-open file object.
+
+    A path is opened as UTF-8 and closed on exit; a stream stays open.
+    Bytes that do not decode end as a CorpusError naming the source.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return _NonClosing(source)
-    raise CorpusError(f"unsupported input source: {source!r}")
+        stream = open(source, "r", encoding="utf-8", newline="")
+    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
+        stream = _NonClosing(source)
+    else:
+        raise CorpusError(f"unsupported input source: {source!r}")
+    with stream as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+            raise CorpusError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 class _NonClosing:
@@ -476,10 +512,16 @@ def load_field_scheme(source: PathOrIO) -> FieldScheme:
 
 
 def parse_publications(source: PathOrIO) -> tuple[list[PublicationRecord], list[str]]:
-    """Parse publications JSONL into records plus the full diagnostic list."""
+    """Parse publications JSONL into records plus the full diagnostic list.
+
+    Each distinct attribution list is validated once per call: records
+    whose lists are equal share one tuple of `Attribution`s. A list that
+    fails validation is diagnosed again on every line that carries it.
+    """
     records: list[PublicationRecord] = []
     diagnostics: list[str] = []
     seen: set[str] = set()
+    attribution_memo: dict[tuple, tuple[Attribution, ...]] = {}
     with _open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -489,10 +531,13 @@ def parse_publications(source: PathOrIO) -> tuple[list[PublicationRecord], list[
             except json.JSONDecodeError as exc:
                 diagnostics.append(f"publications line {lineno}: malformed JSON ({exc.msg})")
                 continue
+            except RecursionError:
+                diagnostics.append(f"publications line {lineno}: malformed JSON (nested too deeply)")
+                continue
             if not isinstance(raw, dict):
                 diagnostics.append(f"publications line {lineno}: expected an object")
                 continue
-            record, rec_diags = validate_record(raw)
+            record, rec_diags = _validate(raw, attribution_memo)
             if rec_diags:
                 rec_id = raw.get("id", "?")
                 diagnostics.extend(

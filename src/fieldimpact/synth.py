@@ -183,7 +183,11 @@ def spec_from_dict(raw: dict) -> SynthSpec:
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 decode errors
+        raise SynthError(f"invalid synth spec {path}: {exc}") from None
+    return spec_from_dict(raw)
 
 
 _ADDRESS_TEMPLATES = (

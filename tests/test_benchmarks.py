@@ -215,6 +215,13 @@ class TestCsvLoaderRejections:
         table = load_benchmark_csv(io.StringIO(self.HEADER + "2003,F1,2,0.0\n"), "field")
         assert table.degenerate_cells() == ((2003, "F1"),)
 
+    @pytest.mark.parametrize("kind, row", [("field", "2001,,1,2.0"), ("journal", "2001, ,1,2.0")])
+    def test_empty_key_rejected(self, kind, row):
+        header = self.HEADER if kind == "field" else "year,journal_id,n,jxcr\n"
+        key_col = "field_id" if kind == "field" else "journal_id"
+        with pytest.raises(BenchmarkError, match=rf"line 3: empty {key_col}"):
+            load_benchmark_csv(io.StringIO(header + "2001,K1,1,2.0\n" + row + "\n"), kind)
+
     def test_duplicate_cell_rejected(self):
         text = self.HEADER + "2003,F1,2,1.5\n2004,F1,1,2.0\n2003,F1,3,9.0\n"
         with pytest.raises(BenchmarkError, match=r"line 4: duplicate cell \(2003, F1\)"):

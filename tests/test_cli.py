@@ -378,3 +378,60 @@ class TestBadInputDiagnostics:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: benchmark CSV line")
         assert err[0].endswith(message)
+
+    @pytest.mark.parametrize("option", ["pubs", "journals", "orgs", "fields", "rules"])
+    def test_non_utf8_corpus_file(self, tiny_corpus_files, capsys, option):
+        path = tiny_corpus_files[option]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--slice", "org", "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert err == [f"error: {path}: not UTF-8 text (invalid start byte)"]
+
+    @pytest.mark.parametrize(
+        "option, header",
+        [("--xcr-csv", "year,field_id,n,xcr"), ("--jxcr-csv", "year,journal_id,n,jxcr"),
+         ("--top-csv", "field_id,journal_id")],
+    )
+    def test_non_utf8_benchmark_file(self, tiny_corpus_files, capsys, option, header):
+        path = tiny_corpus_files["dir"] / "bench.csv"
+        path.write_bytes(header.encode() + b"\n\xff\n")
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), option, str(path),
+             "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert err == [f"error: {path}: not UTF-8 text (invalid start byte)"]
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [(b'{"limit": "\xff"}', "'utf-8' codec can't decode"), (b"[" * 200000, "maximum recursion depth")],
+    )
+    def test_undecodable_config_is_usage_error(self, tiny_corpus_files, capsys, body, reason):
+        config = tiny_corpus_files["dir"] / "run.json"
+        config.write_bytes(body)
+        code, err = self.run(["validate", *args_corpus(tiny_corpus_files), "--config", str(config)], capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config {config}: {reason}")
+
+    def test_non_utf8_or_malformed_synth_spec(self, tiny_corpus_files, capsys):
+        spec = tiny_corpus_files["dir"] / "spec.json"
+        for body in (b"\xff", b"{bad", b"[" * 200000):
+            spec.write_bytes(body)
+            code, err = self.run(["synth", "--spec", str(spec), "--out-dir", str(spec.parent)], capsys)
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith(f"error: invalid synth spec {spec}: ")
+
+    def test_deeply_nested_publications_line(self, tiny_corpus_files, capsys):
+        pubs = tiny_corpus_files["pubs"]
+        pubs.write_text(pubs.read_text(encoding="utf-8") + "[" * 200000 + "\n", encoding="utf-8")
+        code, err = self.run(["validate", *args_corpus(tiny_corpus_files)], capsys)
+        assert code == 1
+        assert err == [
+            "publications line 4: malformed JSON (nested too deeply)",
+            "validation failed: 1 diagnostic(s)",
+        ]

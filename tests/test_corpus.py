@@ -1,6 +1,10 @@
 import io
+import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldimpact.corpus import (
     Attribution,
@@ -9,6 +13,7 @@ from fieldimpact.corpus import (
     census_citations,
     doc_type_shares,
     parse_corpus,
+    parse_publications,
     validate_record,
     write_publications_jsonl,
 )
@@ -134,6 +139,88 @@ class TestParseCorpus:
         assert exc.value.diagnostics == [
             "publications line 1 (record p1): attribution weights must sum to exactly 1"
         ]
+
+
+def parse_line_by_line(text: str):
+    """`parse_publications` without its attribution memo: `validate_record`
+    on each line, diagnostics formatted the same way (ids are unique)."""
+    records, diagnostics = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        raw = json.loads(line)
+        record, rec_diags = validate_record(raw)
+        diagnostics += [f"publications line {lineno} (record {raw['id']}): {d}" for d in rec_diags]
+        if record is not None:
+            records.append(record)
+    return records, diagnostics
+
+
+_MISSING = object()
+
+
+def _item(org, subunit, weight) -> dict:
+    values = (("org", org), ("subunit", subunit), ("weight", weight))
+    return {k: v for k, v in values if v is not _MISSING}
+
+
+# Lines draw their attribution lists from one small pool, so a file often
+# repeats a list and often holds lists whose keys compare equal across
+# types (`1` and `true`), unhashable values, or a missing `org`.
+ATTRIBUTION_POOL = [
+    [_item(*values)]
+    for values in itertools.product(
+        ["A", _MISSING, 3, ["A"]],
+        [None, "X", _MISSING, 3, ["X"]],
+        ["1", "1/2", 1, True, 0.5, ["1"], "0"],
+    )
+] + [
+    [_item("A", None, "1/2"), _item("B", "X", "1/2")],
+    [_item("A", None, "1/2"), _item("B", "X", 0.5)],
+    [_item("A", None, "1/3"), "x"],
+    [],
+    "not a list",
+    _MISSING,
+]
+
+
+class TestAttributionMemo:
+    @given(st.lists(st.sampled_from(ATTRIBUTION_POOL), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_validate_record_line_by_line(self, lists):
+        pubs = [
+            pub(f"p{i:02d}") if atts is _MISSING else pub(f"p{i:02d}", attributions=atts)
+            for i, atts in enumerate(lists)
+        ]
+        text = jsonl(pubs)
+        assert parse_publications(io.StringIO(text)) == parse_line_by_line(text)
+
+    def test_string_weight_does_not_admit_bool_weight(self):
+        text = jsonl([
+            pub("p1", attributions=[att("A", "1")]),
+            pub("p2", attributions=[{"org": "A", "subunit": None, "weight": True}]),
+        ])
+        records, diagnostics = parse_publications(io.StringIO(text))
+        assert [r.id for r in records] == ["p1"]
+        assert diagnostics == ["publications line 2 (record p2): invalid attribution weight True"]
+
+    def test_invalid_list_diagnosed_on_every_line(self):
+        text = jsonl([pub(f"p{i}", attributions=[att("A", "1/2")]) for i in (1, 2)])
+        records, diagnostics = parse_publications(io.StringIO(text))
+        assert records == []
+        assert diagnostics == [
+            f"publications line {i} (record p{i}): attribution weights must sum to exactly 1"
+            for i in (1, 2)
+        ]
+
+    def test_equal_lists_share_one_tuple(self):
+        atts = [att("A", "1/3"), att("B", "2/3", subunit="B1")]
+        text = jsonl([pub("p1", attributions=atts), pub("p2"), pub("p3", attributions=atts)])
+        (p1, p2, p3), diagnostics = parse_publications(io.StringIO(text))
+        assert diagnostics == []
+        assert p1.attributions is p3.attributions
+        assert p1.attributions == (
+            Attribution("A", None, Fraction(1, 3)), Attribution("B", "B1", Fraction(2, 3))
+        )
+        assert p2.attributions == ()
 
 
 class TestDocTypeShares:

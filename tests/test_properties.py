@@ -1,4 +1,5 @@
-"""Property tests over reconciliation and organizational slices.
+"""Property tests over reconciliation, organizational slices, record
+order and benchmark CSV round trips.
 
 Worlds are small: a handful of records whose addresses mix org-level,
 sub-unit and unmatched phrases, matched by a fixed rule file.
@@ -10,10 +11,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldimpact.benchmarks import BenchmarkCell, BenchmarkTables, CitationBenchmarkTable, TopJournalSet
+from fieldimpact.benchmarks import (
+    BenchmarkCell,
+    BenchmarkTables,
+    CitationBenchmarkTable,
+    TopJournalSet,
+    classify_top_journals,
+    compute_benchmarks,
+    export_benchmark_csv,
+    load_benchmark_csv,
+)
 from fieldimpact.corpus import parse_corpus, write_publications_jsonl
-from fieldimpact.indicators import aggregate
+from fieldimpact.indicators import aggregate, write_indicator_csv, write_indicator_json
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
+from fieldimpact.reporting import RankingSpec, emit, rank
 
 from conftest import journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
 
@@ -92,3 +103,68 @@ def test_reconciled_corpus_round_trips_through_ingest(drawn):
         io.StringIO(scheme_csv(SCHEME)),
     )
     assert reloaded.records == corpus.records
+
+
+def chain_outputs(publications: str) -> dict[str, str]:
+    """Every indicator and rank output of the CLI chain, computed from a
+    publications JSONL text with benchmarks taken from that corpus."""
+    corpus = parse_corpus(
+        io.StringIO(publications),
+        io.StringIO(journals_csv(JOURNALS)),
+        io.StringIO(orgs_csv(ORGS)),
+        io.StringIO(scheme_csv(SCHEME)),
+    )
+    tables = compute_benchmarks(corpus)
+    top = classify_top_journals(corpus.journals, corpus.field_scheme, 0.10)
+    outputs = {}
+    for keys in (("nation",), ("discipline", "year"), ("field",), *ORG_SLICES):
+        rows = aggregate(corpus, keys, tables, top, with_top_decile=True)
+        for name, write in (("csv", write_indicator_csv), ("json", write_indicator_json)):
+            buf = io.StringIO()
+            write(rows, buf)
+            outputs[f"indicators_{'_'.join(keys)}.{name}"] = buf.getvalue()
+        if keys in (("org",), ("subunit",)):
+            for metric in ("mean_cx", "top_decile_mean_cx"):
+                table = rank(rows, RankingSpec(keys[0], metric, min_weight=0, limit=100))
+                for fmt in ("csv", "json"):
+                    buf = io.StringIO()
+                    emit(table, fmt, buf)
+                    outputs[f"rank_{keys[0]}_{metric}.{fmt}"] = buf.getvalue()
+    return outputs
+
+
+@given(records, st.data())
+@settings(max_examples=60, deadline=None)
+def test_shuffled_publication_lines_give_identical_outputs(drawn, data):
+    buf = io.StringIO()
+    write_publications_jsonl(reconciled(drawn), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    shuffled = data.draw(st.permutations(lines))
+    assert chain_outputs("".join(shuffled)) == chain_outputs("".join(lines))
+
+
+benchmark_keys = st.text(alphabet="AZaz09 ,\"_-\u00e9", min_size=1, max_size=6).map(str.strip).filter(bool)
+benchmark_cells = st.dictionaries(
+    st.tuples(st.integers(min_value=1900, max_value=2100), benchmark_keys),
+    st.builds(
+        BenchmarkCell,
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(st.sampled_from(["field", "journal"]), benchmark_cells)
+@settings(max_examples=100, deadline=None)
+def test_benchmark_csv_round_trip_is_exact(kind, cells):
+    table = CitationBenchmarkTable(kind, cells)
+    buf = io.StringIO()
+    export_benchmark_csv(table, buf)
+    buf.seek(0)
+    loaded = load_benchmark_csv(buf, kind)
+    assert loaded == table
+    assert {k: c.mean.hex() for k, c in loaded.cells.items()} == {
+        k: c.mean.hex() for k, c in table.cells.items()
+    }
