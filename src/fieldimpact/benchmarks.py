@@ -189,9 +189,11 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
         for lineno, row in enumerate(reader, start=2):
             if not any(cell.strip() for cell in row):
                 continue
+            if len(row) != 4:
+                raise BenchmarkError(f"benchmark CSV line {lineno}: expected 4 columns, got {len(row)}")
             try:
                 year, key, n, mean = int(row[0]), row[1].strip(), int(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise BenchmarkError(f"benchmark CSV line {lineno}: {exc}") from exc
             if not key:
                 raise BenchmarkError(f"benchmark CSV line {lineno}: empty {key_col}")
@@ -233,7 +235,10 @@ def load_top_journals_csv(source: str | Path | IO[str], fraction: float = 0.10) 
                 raise BenchmarkError(
                     f"top-journal CSV line {lineno}: expected 2 columns, got {len(row)}"
                 )
-            by_field.setdefault(row[0].strip(), set()).add(row[1].strip())
+            field_id, journal_id = (cell.strip() for cell in row)
+            if not field_id or not journal_id:
+                raise BenchmarkError(f"top-journal CSV line {lineno}: empty field_id or journal_id")
+            by_field.setdefault(field_id, set()).add(journal_id)
     return TopJournalSet({f: frozenset(js) for f, js in by_field.items()}, fraction)
 
 

@@ -36,6 +36,7 @@ from .corpus import (
     write_publications_jsonl,
 )
 from .indicators import (
+    _ORG_KEYS,
     SLICE_KEYS,
     IndicatorError,
     _validate_slice,
@@ -347,7 +348,7 @@ def _parse_slice(raw: str) -> tuple[str, ...]:
 def _cmd_indicators(args, config) -> int:
     keys = _parse_slice(_opt(args, config, "slice_spec", "nation"))
     corpus = _load_corpus(args, config)
-    if any(k in ("org_type", "org", "subunit") for k in keys):
+    if any(k in _ORG_KEYS for k in keys):
         corpus = _maybe_reconcile(args, config, corpus)
     benchmarks, top_set = _load_benchmarks(args, config, corpus)
     rows = aggregate(corpus, keys, benchmarks, top_set)
@@ -425,7 +426,7 @@ def _cmd_trend(args, config) -> int:
         m.strip() for m in _opt(args, config, "metrics", "mean_cx").split(",") if m.strip()
     )
     corpus = _load_corpus(args, config)
-    if any(k in ("org_type", "org", "subunit") for k in keys):
+    if any(k in _ORG_KEYS for k in keys):
         corpus = _maybe_reconcile(args, config, corpus)
     benchmarks, top_set = _load_benchmarks(args, config, corpus)
     series = annual_series(corpus, keys, benchmarks, top_set)

@@ -10,11 +10,10 @@ freely across threads.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
@@ -123,9 +122,6 @@ class FieldScheme:
 
     def discipline_of(self, field_id: str) -> str:
         return self.field_to_discipline[field_id]
-
-    def disciplines(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.field_to_discipline.values())))
 
     def fields(self) -> tuple[str, ...]:
         return tuple(sorted(self.field_to_discipline))
@@ -238,12 +234,10 @@ def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[Publication
     rec_id = raw.get("id")
     if not isinstance(rec_id, str) or not rec_id:
         diagnostics.append("id must be a non-empty string")
-        rec_id = str(rec_id) if rec_id is not None else "?"
 
     year = raw.get("year")
     if isinstance(year, bool) or not isinstance(year, int):
         diagnostics.append("year must be an integer")
-        year = 0
 
     doc_type_raw = raw.get("doc_type")
     doc_type = _DOC_TYPES.get(doc_type_raw) if isinstance(doc_type_raw, str) else None
@@ -251,12 +245,10 @@ def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[Publication
         diagnostics.append(
             f"doc_type must be one of {sorted(_DOC_TYPES)}, got {doc_type_raw!r}"
         )
-        doc_type = DocType.ARTICLE
 
     journal = raw.get("journal")
     if not isinstance(journal, str) or not journal:
         diagnostics.append("journal must be a non-empty string")
-        journal = ""
 
     fields_raw = raw.get("fields")
     fields: tuple[str, ...] = ()
@@ -272,7 +264,6 @@ def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[Publication
     citations = raw.get("citations")
     if isinstance(citations, bool) or not isinstance(citations, int):
         diagnostics.append("citations must be an integer")
-        citations = 0
     elif citations < 0:
         diagnostics.append("citations must be non-negative")
 
@@ -364,8 +355,8 @@ def _open_text(source: PathOrIO):
     """
     if isinstance(source, (str, Path)):
         stream = open(source, "r", encoding="utf-8", newline="")
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        stream = _NonClosing(source)
+    elif hasattr(source, "read"):
+        stream = nullcontext(source)
     else:
         raise CorpusError(f"unsupported input source: {source!r}")
     with stream as fh:
@@ -376,22 +367,11 @@ def _open_text(source: PathOrIO):
             raise CorpusError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
-class _NonClosing:
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __enter__(self):
-        return self._stream
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _open_out(destination: PathOrIO):
     """Open a path for writing, or pass an already-open stream through unclosed."""
     if isinstance(destination, (str, Path)):
         return open(destination, "w", encoding="utf-8", newline="")
-    return _NonClosing(destination)
+    return nullcontext(destination)
 
 
 def _read_csv(source: PathOrIO, expected_header: Sequence[str], what: str):
@@ -594,16 +574,10 @@ def parse_corpus(
         for f in journal.field_ids:
             if f not in scheme:
                 dangling_fields.add(f)
-    if dangling_journals:
-        diagnostics.append(
-            "dangling journal reference(s): " + ", ".join(sorted(dangling_journals))
-        )
-    if dangling_fields:
-        diagnostics.append("dangling field reference(s): " + ", ".join(sorted(dangling_fields)))
-    if dangling_orgs:
-        diagnostics.append(
-            "dangling organization reference(s): " + ", ".join(sorted(dangling_orgs))
-        )
+    dangling = (("journal", dangling_journals), ("field", dangling_fields), ("organization", dangling_orgs))
+    for what, names in dangling:
+        if names:
+            diagnostics.append(f"dangling {what} reference(s): " + ", ".join(sorted(names)))
     if diagnostics:
         raise CorpusValidationError(diagnostics)
 

@@ -7,8 +7,9 @@ expected rates of all its fields. Inside a single-field slice the
 denominator is that field's rate alone, and inside a discipline slice
 the mean runs over the publication's fields belonging to that
 discipline. Aggregation weights are exact rationals (fractional
-counting) and float reductions use exact compensated summation, so
-results do not depend on evaluation order or thread count.
+counting), summed as integer numerators over the lcm of the call's
+weight denominators, and float reductions use exact compensated
+summation, so results do not depend on evaluation order or thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 from .benchmarks import (
     BenchmarkError,
@@ -80,9 +81,7 @@ class IndicatorRow:
         return _entity_id(self.entity)
 
     def value(self, metric: str) -> float | None:
-        if metric == "weight":
-            return self.weight
-        if metric in ("mean_cx", "mean_citations", "top_share_pct", "mean_cjx", "top_decile_mean_cx"):
+        if metric in ("weight", "mean_cx", "mean_citations", "top_share_pct", "mean_cjx", "top_decile_mean_cx"):
             return getattr(self, metric)
         raise IndicatorError(f"unknown metric {metric!r}")
 
@@ -93,32 +92,30 @@ def _entity_id(entity: tuple[tuple[str, object], ...]) -> str:
 
 
 class _Acc:
+    """Running sums of one group; `weight`, `cit`, `top` and `cjx` are numerators over `scale`."""
+
     __slots__ = (
-        "weight_num",
+        "weight",
         "wr_parts",
-        "top_num",
-        "cjx_num",
+        "top",
+        "cjx",
         "wcjx_parts",
-        "cit_num",
+        "cit",
         "n_pubs",
         "n_excluded",
         "scored",
     )
 
     def __init__(self, keep_scored: bool):
-        self.weight_num: dict[int, int] = {}
+        self.weight = 0
         self.wr_parts: list[float] = []
-        self.top_num: dict[int, int] = {}
-        self.cjx_num: dict[int, int] = {}
+        self.top = 0
+        self.cjx = 0
         self.wcjx_parts: list[float] = []
-        self.cit_num: dict[int, int] = {}
+        self.cit = 0
         self.n_pubs = 0
         self.n_excluded = 0
         self.scored: list[tuple[float, str]] | None = [] if keep_scored else None
-
-
-def _exact(num_by_den: Mapping[int, int]) -> Fraction:
-    return sum((Fraction(num, den) for den, num in num_by_den.items()), Fraction(0))
 
 
 def _validate_slice(slice_spec: Sequence[str]) -> tuple[str, ...]:
@@ -150,6 +147,9 @@ def aggregate(
     group and counted in its n_excluded. Empty groups are omitted. On
     the `subunit` key, a share attributed to an organization as a whole
     is labelled with the organization's id.
+
+    Exact sums are integer numerators over the lcm of the call's weight
+    denominators (1 on non-organizational slices).
     """
     keys = _validate_slice(slice_spec)
     org_sliced = any(k in _ORG_KEYS for k in keys)
@@ -159,6 +159,9 @@ def aggregate(
     xcr = benchmarks.xcr
     jxcr = benchmarks.jxcr
 
+    scale = 1
+    if org_sliced:
+        scale = math.lcm(*{a.weight.denominator for rec in corpus.records for a in rec.attributions})
     accs: dict[tuple, _Acc] = {}
     # Denominator per (year, fields) context; None marks an excluded context.
     mean_rates: dict[tuple, float | None] = {}
@@ -182,11 +185,12 @@ def aggregate(
         else:
             contexts = [({}, rec.field_ids)]
 
+        # Shares: (float weight, exact weight over `scale`, entity values).
         if org_sliced:
-            org_parts = [
+            shares = [
                 (
-                    att.weight.numerator,
-                    att.weight.denominator,
+                    att.weight.numerator / att.weight.denominator,
+                    att.weight.numerator * (scale // att.weight.denominator),
                     {
                         "org_type": corpus.organizations[att.org_id].org_type.value,
                         "org": att.org_id,
@@ -198,7 +202,7 @@ def aggregate(
                 for att in rec.attributions
             ]
         else:
-            org_parts = [(1, 1, {})]
+            shares = [(1.0, 1, {})]
 
         try:
             cjx = journal_standardized_impact(rec, jxcr)
@@ -216,58 +220,49 @@ def aggregate(
                     mean_rates[cell] = None
             rate = mean_rates[cell]
             ratio = None if rate is None else rec.citations / rate
-            for num, den, org_vals in org_parts:
+            for share, w, org_vals in shares:
                 key = _group_key(keys, rec, ctx_vals, org_vals)
                 acc = accs.get(key)
                 if acc is None:
                     acc = accs[key] = _Acc(with_top_decile)
-                if ratio is None:
-                    if (key, "x") not in touched:
-                        touched.add((key, "x"))
-                        acc.n_excluded += 1
-                    continue
-                acc.weight_num[den] = acc.weight_num.get(den, 0) + num
-                acc.cit_num[den] = acc.cit_num.get(den, 0) + num * rec.citations
-                acc.wr_parts.append((num / den) * ratio)
-                if is_top:
-                    acc.top_num[den] = acc.top_num.get(den, 0) + num
-                    if cjx is not None:
-                        acc.cjx_num[den] = acc.cjx_num.get(den, 0) + num
-                        acc.wcjx_parts.append((num / den) * cjx)
+                # The key fixes the context, so a record's touches of one key share one ratio.
                 if key not in touched:
                     touched.add(key)
-                    acc.n_pubs += 1
-                    if acc.scored is not None:
-                        acc.scored.append((ratio, rec.id))
+                    if ratio is None:
+                        acc.n_excluded += 1
+                    else:
+                        acc.n_pubs += 1
+                        if acc.scored is not None:
+                            acc.scored.append((ratio, rec.id))
+                if ratio is None:
+                    continue
+                acc.weight += w
+                acc.cit += w * rec.citations
+                acc.wr_parts.append(share * ratio)
+                if is_top:
+                    acc.top += w
+                    if cjx is not None:
+                        acc.cjx += w
+                        acc.wcjx_parts.append(share * cjx)
 
     rows = []
     for key in sorted(accs, key=_key_sort):
         acc = accs[key]
-        weight_exact = _exact(acc.weight_num)
-        if weight_exact == 0:
+        if acc.weight == 0:
             continue
-        weight = float(weight_exact)
-        mean_cx = math.fsum(acc.wr_parts) / weight
-        mean_citations = float(_exact(acc.cit_num) / weight_exact)
-        top_exact = _exact(acc.top_num)
-        top_share = 100.0 * float(top_exact / weight_exact)
-        cjx_exact = _exact(acc.cjx_num)
-        mean_cjx = math.fsum(acc.wcjx_parts) / float(cjx_exact) if cjx_exact > 0 else None
-        top_decile = None
-        if acc.scored:
-            _, top_decile = top_decile_mean(acc.scored)
+        weight_exact = Fraction(acc.weight, scale)
         rows.append(
             IndicatorRow(
                 entity=key,
-                weight=weight,
+                weight=float(weight_exact),
                 weight_exact=weight_exact,
                 n_pubs=acc.n_pubs,
                 n_excluded=acc.n_excluded,
-                mean_cx=mean_cx,
-                mean_citations=mean_citations,
-                top_share_pct=top_share,
-                mean_cjx=mean_cjx,
-                top_decile_mean_cx=top_decile,
+                mean_cx=math.fsum(acc.wr_parts) / float(weight_exact),
+                mean_citations=float(Fraction(acc.cit, acc.weight)),
+                top_share_pct=100.0 * float(Fraction(acc.top, acc.weight)),
+                mean_cjx=math.fsum(acc.wcjx_parts) / float(Fraction(acc.cjx, scale)) if acc.cjx else None,
+                top_decile_mean_cx=top_decile_mean(acc.scored)[1] if acc.scored else None,
             )
         )
     return rows

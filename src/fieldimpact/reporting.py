@@ -92,8 +92,6 @@ def emit(table: Table, fmt: str, destination: str | Path | IO[str]) -> None:
     carries full precision and round-trips exactly. Display rounding is
     applied at write time only and never feeds back into computation.
     """
-    if fmt not in FORMATS:
-        raise ReportError(f"unknown format {fmt!r}, allowed: {FORMATS}")
     text = render(table, fmt)
     with _open_out(destination) as fh:
         fh.write(text)
@@ -121,7 +119,7 @@ def render(table: Table, fmt: str) -> str:
                 + " |"
             )
         return "\n".join(lines) + "\n"
-    raise ReportError(f"unknown format {fmt!r}")
+    raise ReportError(f"unknown format {fmt!r}, allowed: {FORMATS}")
 
 
 def _display(value, column: str, decimals: dict[str, int]) -> str:

@@ -11,8 +11,11 @@ echo.
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +50,10 @@ class FieldProfile:
     if_sigma: float = 0.5
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.mean_citations, self.dispersion, self.if_location, self.if_sigma))):
+            raise SynthError(
+                f"field {self.field_id}: mean_citations, dispersion, if_location and if_sigma must be finite"
+            )
         if self.mean_citations <= 0:
             raise SynthError(f"field {self.field_id}: mean citation level must be > 0")
         if self.dispersion <= 0:
@@ -55,6 +62,8 @@ class FieldProfile:
             raise SynthError(f"field {self.field_id}: journal count must be >= 1")
         if self.annual_volume < 0:
             raise SynthError(f"field {self.field_id}: annual volume must be >= 0")
+        if self.if_sigma < 0:
+            raise SynthError(f"field {self.field_id}: if_sigma must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +74,13 @@ class SynthOrg:
     field_mix: dict[str, float]
 
     def validate(self, field_ids: set[str]) -> None:
+        # rules.tsv holds one "name<TAB>id" per line.
+        if any(c in self.org_id + self.name for c in "\t\r\n"):
+            raise SynthError(f"org {self.org_id!r}: id and name must not contain a tab or line break")
         if self.org_type not in ("U", "RI", "H"):
             raise SynthError(f"org {self.org_id}: org_type must be U, RI or H")
+        if not all(math.isfinite(w) and w >= 0 for w in self.field_mix.values()):
+            raise SynthError(f"org {self.org_id}: field-mix weights must be finite and >= 0")
         total = sum(self.field_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise SynthError(f"org {self.org_id}: field-mix weights sum to {total}, expected 1")
@@ -102,6 +116,10 @@ class SynthSpec:
             org.validate(field_ids)
         if not 0 <= self.coauthor_rate <= 1:
             raise SynthError("coauthor_rate must be in [0, 1]")
+        if len(self.doc_type_weights) != len(_DOC_TYPES) or not all(
+            isinstance(w, (int, float)) and math.isfinite(w) and w >= 0 for w in self.doc_type_weights
+        ):
+            raise SynthError(f"doc_type_weights must be {len(_DOC_TYPES)} finite numbers >= 0")
         if abs(sum(self.doc_type_weights) - 1.0) > 1e-9:
             raise SynthError("doc_type_weights must sum to 1")
         if self.address_variants < 1:
@@ -227,27 +245,28 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
     journal_ids: dict[str, list[str]] = {}
     journals_path = out / "journals.csv"
     with open(journals_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("journal_id,name,impact_factor,fields\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("journal_id", "name", "impact_factor", "fields"))
         for prof in spec.fields:
             ifs = rng.lognormal(prof.if_location, prof.if_sigma, prof.journal_count)
             ids = []
             for i in range(prof.journal_count):
                 jid = f"J_{prof.field_id}_{i:03d}"
                 ids.append(jid)
-                fh.write(f"{jid},Journal of {prof.field_id} {i},{float(ifs[i])!r},{prof.field_id}\n")
+                writer.writerow((jid, f"Journal of {prof.field_id} {i}", repr(float(ifs[i])), prof.field_id))
             journal_ids[prof.field_id] = ids
 
     orgs_path = out / "orgs.csv"
     with open(orgs_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("org_id,name,org_type,parent_id\n")
-        for org in spec.orgs:
-            fh.write(f"{org.org_id},{org.name},{org.org_type},\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("org_id", "name", "org_type", "parent_id"))
+        writer.writerows((org.org_id, org.name, org.org_type, "") for org in spec.orgs)
 
     scheme_path = out / "fieldscheme.csv"
     with open(scheme_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("field_id,discipline_id\n")
-        for prof in spec.fields:
-            fh.write(f"{prof.field_id},{prof.discipline_id}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("field_id", "discipline_id"))
+        writer.writerows((prof.field_id, prof.discipline_id) for prof in spec.fields)
 
     rules_path = out / "rules.tsv"
     with open(rules_path, "w", encoding="utf-8", newline="") as fh:
@@ -466,12 +485,8 @@ def distortion_demo(
     org-level deviation is pure sampling noise.
     """
     spec = spec if spec is not None else build_demo_spec(seed)
-    if out_dir is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            generated = generate_corpus(spec, tmp)
-            return _demo_from_files(spec, generated, raw_ratio_min, std_rel_tol)
-    generated = generate_corpus(spec, out_dir)
-    return _demo_from_files(spec, generated, raw_ratio_min, std_rel_tol)
+    with tempfile.TemporaryDirectory() if out_dir is None else nullcontext(out_dir) as where:
+        return _demo_from_files(spec, generate_corpus(spec, where), raw_ratio_min, std_rel_tol)
 
 
 def _demo_from_files(spec, generated, raw_ratio_min, std_rel_tol) -> DistortionReport:

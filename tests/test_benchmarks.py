@@ -226,3 +226,13 @@ class TestCsvLoaderRejections:
         text = self.HEADER + "2003,F1,2,1.5\n2004,F1,1,2.0\n2003,F1,3,9.0\n"
         with pytest.raises(BenchmarkError, match=r"line 4: duplicate cell \(2003, F1\)"):
             load_benchmark_csv(io.StringIO(text), "field")
+
+    @pytest.mark.parametrize("row, n", [("2003,F1,2,1.5,garbage", 5), ("2003,F1,2", 3)])
+    def test_wrong_column_count_names_line(self, row, n):
+        with pytest.raises(BenchmarkError, match=rf"^benchmark CSV line 3: expected 4 columns, got {n}$"):
+            load_benchmark_csv(io.StringIO(self.HEADER + "2001,F1,1,2.0\n" + row + "\n"), "field")
+
+    @pytest.mark.parametrize("row", [",J1", "F1,", " ,J1"])
+    def test_empty_top_journal_cell_names_line(self, row):
+        with pytest.raises(BenchmarkError, match=r"^top-journal CSV line 3: empty field_id or journal_id$"):
+            load_top_journals_csv(io.StringIO("field_id,journal_id\nF1,J1\n" + row + "\n"))

@@ -1,11 +1,13 @@
 """Property tests over reconciliation, organizational slices, record
-order and benchmark CSV round trips.
+order, benchmark CSV round trips and `aggregate` against a brute-force
+oracle.
 
 Worlds are small: a handful of records whose addresses mix org-level,
 sub-unit and unmatched phrases, matched by a fixed rule file.
 """
 
 import io
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -22,11 +24,11 @@ from fieldimpact.benchmarks import (
     load_benchmark_csv,
 )
 from fieldimpact.corpus import parse_corpus, write_publications_jsonl
-from fieldimpact.indicators import aggregate, write_indicator_csv, write_indicator_json
+from fieldimpact.indicators import IndicatorRow, aggregate, write_indicator_csv, write_indicator_json
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.reporting import RankingSpec, emit, rank
 
-from conftest import journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
+from conftest import att, journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -168,3 +170,133 @@ def test_benchmark_csv_round_trip_is_exact(kind, cells):
     assert {k: c.mean.hex() for k, c in loaded.cells.items()} == {
         k: c.mean.hex() for k, c in table.cells.items()
     }
+
+
+# Differential test of `aggregate` against a brute-force oracle: multi-field
+# records over two disciplines, sub-unit shares of 1/2, 1/3 and 1/6,
+# unattributed records, and an xcr table missing one cell with another
+# degenerate. J3 is a top journal without a jxcr cell.
+
+TARGETS = (("A", None), ("A", "A_L1"), ("A", "A_L2"), ("B", None), ("B", "B_S"), ("C", None))
+SPLITS = ((), ("1",), ("1/2", "1/2"), ("1/3", "1/3", "1/3"), ("1/2", "1/3", "1/6"))
+DIFF_JOURNALS = [(j, f"Journal {j}", 1.0, sorted(SCHEME)) for j in ("J1", "J2", "J3")]
+DIFF_TOP = TopJournalSet({"F1": frozenset({"J1"}), "F2": frozenset({"J3"}), "F3": frozenset({"J2"})}, 0.10)
+DIFF_SLICES = (
+    ("nation",), ("org",), ("org_type",), ("subunit",),
+    ("org", "field"), ("org_type", "discipline"), ("discipline", "year"),
+)
+XCR_CELLS = [(y, f) for y in YEARS for f in sorted(SCHEME)]
+
+
+@st.composite
+def attributed_pubs(draw):
+    pubs = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        split = draw(st.sampled_from(SPLITS))
+        targets = draw(st.lists(st.sampled_from(TARGETS), min_size=len(split), max_size=len(split)))
+        extra = {"attributions": [att(o, w, s) for (o, s), w in zip(targets, split)]} if split else {}
+        pubs.append(pub(
+            f"p{i:02d}",
+            year=draw(st.sampled_from(YEARS)),
+            journal=draw(st.sampled_from(("J1", "J2", "J3"))),
+            fields=draw(st.lists(st.sampled_from(sorted(SCHEME)), min_size=1, max_size=3, unique=True)),
+            citations=draw(st.integers(min_value=0, max_value=20)),
+            **extra,
+        ))
+    return pubs
+
+
+@st.composite
+def gappy_tables(draw):
+    removed, degenerate = draw(st.permutations(XCR_CELLS))[:2]
+    means = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=len(XCR_CELLS), max_size=len(XCR_CELLS)))
+    xcr = {c: BenchmarkCell(1, 0.0 if c == degenerate else m) for c, m in zip(XCR_CELLS, means) if c != removed}
+    jxcr = {(y, j): BenchmarkCell(1, m) for y in YEARS for j, m in (("J1", 2.0), ("J2", 0.75))}
+    return BenchmarkTables(CitationBenchmarkTable("field", xcr), CitationBenchmarkTable("journal", jxcr))
+
+
+def aggregate_oracle(corpus, keys, tables, top):
+    """`aggregate` by brute force: `Fraction` sums per group, n_pubs and
+    n_excluded as sets of record ids, `math.fsum` over (num/den)*ratio parts."""
+    discipline = corpus.field_scheme.field_to_discipline
+    org_sliced = bool({"org_type", "org", "subunit"} & set(keys))
+    groups = {}
+    for rec in corpus.records:
+        if org_sliced and not rec.attributions:
+            continue
+        if "field" in keys:
+            contexts = [({"field": f, "discipline": discipline[f]}, [f]) for f in rec.field_ids]
+        elif "discipline" in keys:
+            discs = {discipline[f] for f in rec.field_ids}
+            contexts = [({"discipline": d}, [f for f in rec.field_ids if discipline[f] == d]) for d in discs]
+        else:
+            contexts = [({}, list(rec.field_ids))]
+        if org_sliced:
+            shares = [
+                (a.weight, {
+                    "org_type": corpus.organizations[a.org_id].org_type.value,
+                    "org": a.org_id,
+                    "subunit": a.subunit_id or a.org_id,
+                })
+                for a in rec.attributions
+            ]
+        else:
+            shares = [(Fraction(1), {})]
+        jcell = tables.jxcr.get(rec.year, rec.journal_id)
+        cjx = rec.citations / jcell.mean if jcell is not None and jcell.mean != 0 else None
+        is_top = any(rec.journal_id in top.by_field.get(f, ()) for f in rec.field_ids)
+        for ctx, fields in contexts:
+            cells = [tables.xcr.get(rec.year, f) for f in fields]
+            ratio = None
+            if all(c is not None and c.mean != 0 for c in cells):
+                ratio = rec.citations / (sum(c.mean for c in cells) / len(cells))
+            for weight, org_vals in shares:
+                values = {"nation": "all", "year": rec.year, "doc_type": rec.doc_type.value, **ctx, **org_vals}
+                key = tuple((k, values[k]) for k in keys)
+                g = groups.setdefault(key, {
+                    "w": Fraction(0), "cit": Fraction(0), "top": Fraction(0), "cjx": Fraction(0),
+                    "wr": [], "wcjx": [], "pubs": {}, "excluded": set(),
+                })
+                if ratio is None:
+                    g["excluded"].add(rec.id)
+                    continue
+                g["pubs"][rec.id] = ratio
+                part = weight.numerator / weight.denominator
+                g["w"] += weight
+                g["cit"] += weight * rec.citations
+                g["wr"].append(part * ratio)
+                if is_top:
+                    g["top"] += weight
+                    if cjx is not None:
+                        g["cjx"] += weight
+                        g["wcjx"].append(part * cjx)
+    rows = []
+    for key in sorted(groups, key=lambda k: [v for _, v in k]):
+        g = groups[key]
+        w = g["w"]
+        if w == 0:
+            continue
+        scored = sorted(((r, pid) for pid, r in g["pubs"].items()), key=lambda s: (-s[0], s[1]))
+        k = math.ceil(0.10 * len(scored))
+        rows.append(IndicatorRow(
+            entity=key,
+            weight=float(w),
+            weight_exact=w,
+            n_pubs=len(g["pubs"]),
+            n_excluded=len(g["excluded"]),
+            mean_cx=math.fsum(g["wr"]) / float(w),
+            mean_citations=float(g["cit"] / w),
+            top_share_pct=100.0 * float(g["top"] / w),
+            mean_cjx=math.fsum(g["wcjx"]) / float(g["cjx"]) if g["cjx"] else None,
+            top_decile_mean_cx=math.fsum(r for r, _ in scored[:k]) / k,
+        ))
+    return rows
+
+
+@given(attributed_pubs(), gappy_tables())
+@settings(max_examples=150, deadline=None)
+def test_aggregate_matches_brute_force_oracle(pubs, tables):
+    corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
+    for keys in DIFF_SLICES:
+        rows = aggregate(corpus, keys, tables, DIFF_TOP, with_top_decile=True)
+        assert rows == aggregate_oracle(corpus, keys, tables, DIFF_TOP), keys

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from fieldimpact.benchmarks import classify_top_journals, compute_benchmarks
+from fieldimpact.cli import dispatch
 from fieldimpact.corpus import parse_corpus
 from fieldimpact.indicators import aggregate
+from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.synth import (
     GENERATOR_NAME,
     FieldProfile,
@@ -50,6 +53,36 @@ class TestSpecValidation:
         with pytest.raises(SynthError, match="> 0"):
             one_field_spec(mu=0.0).validate()
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("field", "mean_citations", "Infinity"),
+            ("field", "if_sigma", "NaN"),
+            ("field", "dispersion", "-Infinity"),
+            ("org", "field_mix", "NaN"),
+            ("spec", "coauthor_rate", "NaN"),
+            ("spec", "doc_type_weights", "[0.5, NaN, 0.5]"),
+        ],
+    )
+    def test_non_finite_spec_number_is_a_diagnostic(self, tmp_path, capsys, where, key, value):
+        raw = build_world_spec(7, n_fields=2, n_orgs=2).to_dict()
+        target = {"field": raw["fields"][0], "org": raw["orgs"][0], "spec": raw}[where]
+        target[key] = {"F00": "@"} if key == "field_mix" else "@"
+        path = tmp_path / "bad.spec"
+        path.write_text(json.dumps(raw).replace('"@"', value), encoding="utf-8")
+        with pytest.raises(SynthError):
+            load_spec(path)
+        assert dispatch(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["Tab\tUniversity", "Line\nUniversity", "Return\rUniversity"])
+    def test_org_name_that_rules_tsv_cannot_hold_is_rejected(self, name):
+        spec = build_world_spec(7, n_fields=2, n_orgs=2)
+        spec = dataclasses.replace(spec, orgs=(dataclasses.replace(spec.orgs[0], name=name),))
+        with pytest.raises(SynthError, match="tab or line break"):
+            spec.validate()
+
     def test_spec_file_round_trip(self, tmp_path):
         spec = build_world_spec(7, n_fields=3, n_orgs=3)
         path = tmp_path / "synth.spec"
@@ -77,6 +110,15 @@ class TestGeneration:
         g = generate_corpus(spec, tmp_path)
         corpus = parse_corpus(g.publications, g.journals, g.orgs, g.field_scheme)
         assert corpus.summary().n_records == g.n_publications
+
+    def test_org_name_with_comma_and_quote_loads_and_reconciles(self, tmp_path):
+        spec = build_world_spec(11, n_fields=2, annual_volume=30, n_orgs=2, years=(2001, 2001))
+        orgs = (dataclasses.replace(spec.orgs[0], name='Synth, "Comma" University'), spec.orgs[1])
+        g = generate_corpus(dataclasses.replace(spec, orgs=orgs), tmp_path)
+        corpus = load_generated(g)
+        assert corpus.organizations["U000"].name == 'Synth, "Comma" University'
+        result = reconcile_corpus(corpus, compile_rules(g.rules, corpus.organizations))
+        assert result.stats.n_attributed == result.stats.n_records
 
     def test_low_mean_sampler_tracks_its_target(self, tmp_path):
         # Law-of-large-numbers check against the sampler's configured mean.
