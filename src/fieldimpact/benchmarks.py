@@ -10,13 +10,13 @@ top decile of the impact-factor distribution of any of their fields.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .corpus import Corpus, CorpusError, FieldScheme, Journal, _open_out, _open_text
+from .corpus import Corpus, CorpusError, FieldScheme, Journal, _read_csv
+from .reporting import Table, emit
 
 
 class BenchmarkError(CorpusError):
@@ -158,19 +158,15 @@ def classify_top_journals(
     return TopJournalSet(by_field, fraction)
 
 
-# CSV import/export. Means round-trip at full precision (repr formatting)
-# so externally supplied world benchmarks can drive a national analysis.
+# CSV import/export. Means are written as repr and round-trip at full
+# precision, so externally supplied world benchmarks can drive a national analysis.
 
 
 def export_benchmark_csv(table: CitationBenchmarkTable, destination: str | Path | IO[str]) -> None:
     key_col = "field_id" if table.kind == "field" else "journal_id"
     value_col = "xcr" if table.kind == "field" else "jxcr"
-    rows = sorted(table.cells.items())
-    _write_csv(
-        destination,
-        [("year", key_col, "n", value_col)]
-        + [(year, key, cell.n, repr(cell.mean)) for (year, key), cell in rows],
-    )
+    rows = tuple((year, key, cell.n, cell.mean) for (year, key), cell in sorted(table.cells.items()))
+    emit(Table(("year", key_col, "n", value_col), rows), "csv", destination)
 
 
 def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBenchmarkTable:
@@ -179,69 +175,47 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
     key_col = "field_id" if kind == "field" else "journal_id"
     value_col = "xcr" if kind == "field" else "jxcr"
     cells: dict[tuple[int, str], BenchmarkCell] = {}
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["year", key_col, "n", value_col]:
+    header = ("year", key_col, "n", value_col)
+    for lineno, row in _read_csv(source, header, "benchmark CSV", BenchmarkError):
+        if len(row) != 4:
+            raise BenchmarkError(f"benchmark CSV line {lineno}: expected 4 columns, got {len(row)}")
+        try:
+            year, key, n, mean = int(row[0]), row[1].strip(), int(row[2]), float(row[3])
+        except ValueError as exc:
+            raise BenchmarkError(f"benchmark CSV line {lineno}: {exc}") from exc
+        if not key:
+            raise BenchmarkError(f"benchmark CSV line {lineno}: empty {key_col}")
+        if n < 1:
+            raise BenchmarkError(f"benchmark CSV line {lineno}: n must be >= 1")
+        if not math.isfinite(mean) or mean < 0:
             raise BenchmarkError(
-                f"expected header year,{key_col},n,{value_col}, got {header!r}"
+                f"benchmark CSV line {lineno}: {value_col} must be finite and non-negative, "
+                f"got {row[3].strip()!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise BenchmarkError(f"benchmark CSV line {lineno}: expected 4 columns, got {len(row)}")
-            try:
-                year, key, n, mean = int(row[0]), row[1].strip(), int(row[2]), float(row[3])
-            except ValueError as exc:
-                raise BenchmarkError(f"benchmark CSV line {lineno}: {exc}") from exc
-            if not key:
-                raise BenchmarkError(f"benchmark CSV line {lineno}: empty {key_col}")
-            if n < 1:
-                raise BenchmarkError(f"benchmark CSV line {lineno}: n must be >= 1")
-            if not math.isfinite(mean) or mean < 0:
-                raise BenchmarkError(
-                    f"benchmark CSV line {lineno}: {value_col} must be finite and non-negative, "
-                    f"got {row[3].strip()!r}"
-                )
-            if (year, key) in cells:
-                raise BenchmarkError(f"benchmark CSV line {lineno}: duplicate cell ({year}, {key})")
-            cells[(year, key)] = BenchmarkCell(n, mean)
+        if (year, key) in cells:
+            raise BenchmarkError(f"benchmark CSV line {lineno}: duplicate cell ({year}, {key})")
+        cells[(year, key)] = BenchmarkCell(n, mean)
     if not cells:
         raise BenchmarkError("no benchmark data")
     return CitationBenchmarkTable(kind, cells)
 
 
 def export_top_journals_csv(top_set: TopJournalSet, destination: str | Path | IO[str]) -> None:
-    rows = [("field_id", "journal_id")] + [
+    rows = tuple(
         (field_id, journal_id)
         for field_id in sorted(top_set.by_field)
         for journal_id in sorted(top_set.by_field[field_id])
-    ]
-    _write_csv(destination, rows)
+    )
+    emit(Table(("field_id", "journal_id"), rows), "csv", destination)
 
 
 def load_top_journals_csv(source: str | Path | IO[str], fraction: float = 0.10) -> TopJournalSet:
     by_field: dict[str, set[str]] = {}
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["field_id", "journal_id"]:
-            raise BenchmarkError(f"expected header field_id,journal_id, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise BenchmarkError(
-                    f"top-journal CSV line {lineno}: expected 2 columns, got {len(row)}"
-                )
-            field_id, journal_id = (cell.strip() for cell in row)
-            if not field_id or not journal_id:
-                raise BenchmarkError(f"top-journal CSV line {lineno}: empty field_id or journal_id")
-            by_field.setdefault(field_id, set()).add(journal_id)
+    for lineno, row in _read_csv(source, ("field_id", "journal_id"), "top-journal CSV", BenchmarkError):
+        if len(row) != 2:
+            raise BenchmarkError(f"top-journal CSV line {lineno}: expected 2 columns, got {len(row)}")
+        field_id, journal_id = (cell.strip() for cell in row)
+        if not field_id or not journal_id:
+            raise BenchmarkError(f"top-journal CSV line {lineno}: empty field_id or journal_id")
+        by_field.setdefault(field_id, set()).add(journal_id)
     return TopJournalSet({f: frozenset(js) for f, js in by_field.items()}, fraction)
-
-
-def _write_csv(destination: str | Path | IO[str], rows: Iterable[tuple]) -> None:
-    with _open_out(destination) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)

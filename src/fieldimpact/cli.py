@@ -47,7 +47,7 @@ from .indicators import (
 from .reconcile import compile_rules, reconcile_corpus
 from .reporting import FORMATS, RankingSpec, ReportError, default_filename, emit, rank, render
 from .synth import distortion_demo, generate_corpus, load_spec
-from .trends import GrowthError, annual_series, series_growth, write_trend_csv
+from .trends import GROWTH_METRICS, GrowthError, annual_series, series_growth, write_trend_csv
 
 OUT_DIR_ENV = "FIELDIMPACT_OUT_DIR"
 
@@ -422,9 +422,10 @@ def _cmd_trend(args, config) -> int:
     keys = _parse_slice(_opt(args, config, "slice_spec", "nation"))
     if "year" in keys:
         raise UsageError("--slice must not include 'year' (it is implicit)")
-    metrics = tuple(
-        m.strip() for m in _opt(args, config, "metrics", "mean_cx").split(",") if m.strip()
-    )
+    raw_metrics = _opt(args, config, "metrics", "mean_cx")
+    metrics = tuple(m.strip() for m in raw_metrics.split(",") if m.strip())
+    if not metrics or not set(metrics) <= set(GROWTH_METRICS):
+        raise UsageError(f"--metrics: expected one or more of {GROWTH_METRICS}, got {raw_metrics!r}")
     corpus = _load_corpus(args, config)
     if any(k in _ORG_KEYS for k in keys):
         corpus = _maybe_reconcile(args, config, corpus)

@@ -374,15 +374,17 @@ def _open_out(destination: PathOrIO):
     return nullcontext(destination)
 
 
-def _read_csv(source: PathOrIO, expected_header: Sequence[str], what: str):
+def _read_csv(source: PathOrIO, expected_header: Sequence[str], what: str,
+              error: type[CorpusError] = CorpusError):
+    """Check the header (else raise `error`); return the non-blank rows as (line number, cells)."""
     with _open_text(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise CorpusError(f"{what}: empty file") from None
+            raise error(f"{what}: empty file") from None
         if [h.strip() for h in header] != list(expected_header):
-            raise CorpusError(
+            raise error(
                 f"{what}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
         return [(i, row) for i, row in enumerate(reader, start=2) if any(cell.strip() for cell in row)]

@@ -14,8 +14,6 @@ summation, so results do not depend on evaluation order or thread count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +26,8 @@ from .benchmarks import (
     CitationBenchmarkTable,
     TopJournalSet,
 )
-from .corpus import Corpus, CorpusError, OrgType, PublicationRecord, _open_out
+from .corpus import Corpus, CorpusError, OrgType, PublicationRecord
+from .reporting import Table, emit
 
 SLICE_KEYS = ("nation", "discipline", "field", "org_type", "org", "subunit", "year", "doc_type")
 _ORG_KEYS = frozenset({"org_type", "org", "subunit"})
@@ -386,36 +385,18 @@ def _concentration(weights, org_type: OrgType, discipline: str) -> float:
 _INDICATOR_COLUMNS = ("weight", "n_excluded", "mean_cx", "top_share_pct", "mean_cjx")
 
 
-def write_indicator_csv(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
+def _indicator_table(rows: Iterable[IndicatorRow]) -> Table:
     rows = list(rows)
-    slice_keys = [k for k, _ in rows[0].entity] if rows else []
-    with _open_out(destination) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(slice_keys + list(_INDICATOR_COLUMNS))
-        for row in rows:
-            writer.writerow(
-                [v for _, v in row.entity]
-                + [
-                    f"{row.weight:.4f}",
-                    row.n_excluded,
-                    f"{row.mean_cx:.4f}",
-                    f"{row.top_share_pct:.4f}",
-                    "" if row.mean_cjx is None else f"{row.mean_cjx:.4f}",
-                ]
-            )
+    slice_keys = tuple(k for k, _ in rows[0].entity) if rows else ()
+    body = tuple(
+        tuple(v for _, v in row.entity) + tuple(getattr(row, c) for c in _INDICATOR_COLUMNS) for row in rows
+    )
+    return Table(slice_keys + _INDICATOR_COLUMNS, body, dict.fromkeys(_INDICATOR_COLUMNS, 4))
+
+
+def write_indicator_csv(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
+    emit(_indicator_table(rows), "csv", destination)
 
 
 def write_indicator_json(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
-    payload = [
-        dict(row.entity)
-        | {
-            "weight": row.weight,
-            "n_excluded": row.n_excluded,
-            "mean_cx": row.mean_cx,
-            "top_share_pct": row.top_share_pct,
-            "mean_cjx": row.mean_cjx,
-        }
-        for row in rows
-    ]
-    with _open_out(destination) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    emit(_indicator_table(rows), "json", destination)

@@ -9,7 +9,6 @@ Matched records receive fractional attribution weights summing to exactly 1.
 
 from __future__ import annotations
 
-import csv
 import re
 import sys
 import unicodedata
@@ -20,7 +19,8 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .corpus import (Attribution, Corpus, CorpusError, CorpusValidationError, Organization,
-                     PublicationRecord, _open_out, _open_text)
+                     PublicationRecord, _open_text)
+from .reporting import Table, emit
 
 _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
 _Q = 4  # gram length of the rule index; shorter patterns are checked on every match
@@ -190,11 +190,8 @@ class UnmatchedReport:
         return sum(e.count for e in self.entries)
 
     def to_csv(self, destination: str | Path | IO[str]) -> None:
-        with _open_out(destination) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["address", "count", "sample_ids"])
-            for entry in self.entries:
-                writer.writerow([entry.address, entry.count, ";".join(entry.sample_ids)])
+        rows = tuple((e.address, e.count, ";".join(e.sample_ids)) for e in self.entries)
+        emit(Table(("address", "count", "sample_ids"), rows), "csv", destination)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,9 @@
-"""Threshold-gated rankings and deterministic table emission."""
+"""Threshold-gated rankings and deterministic table emission.
+
+`render` writes every table the package outputs: indicator, trend,
+benchmark, top-journal and unmatched-address CSV and JSON, synthetic
+registries, and ranked tables. One dialect holds for all of them.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +13,12 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .corpus import CorpusError, _open_out, _open_text
-from .indicators import IndicatorRow
+
+if TYPE_CHECKING:
+    from .indicators import IndicatorRow
 
 RANK_METRICS = ("mean_cx", "top_share_pct", "mean_cjx", "weight", "top_decile_mean_cx")
 
@@ -98,28 +105,19 @@ def emit(table: Table, fmt: str, destination: str | Path | IO[str]) -> None:
 
 
 def render(table: Table, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_display(v, c, table.decimals) for c, v in zip(table.columns, row)])
-        return buf.getvalue()
     if fmt == "json":
         payload = [dict(zip(table.columns, row)) for row in table.rows]
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "markdown":
-        header = "| " + " | ".join(table.columns) + " |"
-        separator = "| " + " | ".join("---" for _ in table.columns) + " |"
-        lines = [header, separator]
-        for row in table.rows:
-            lines.append(
-                "| "
-                + " | ".join(_display(v, c, table.decimals) for c, v in zip(table.columns, row))
-                + " |"
-            )
-        return "\n".join(lines) + "\n"
-    raise ReportError(f"unknown format {fmt!r}, allowed: {FORMATS}")
+    if fmt not in FORMATS:
+        raise ReportError(f"unknown format {fmt!r}, allowed: {FORMATS}")
+    lines = [table.columns]
+    lines += ([_display(v, c, table.decimals) for c, v in zip(table.columns, row)] for row in table.rows)
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        return buf.getvalue()
+    lines.insert(1, ["---"] * len(table.columns))
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
 
 
 def _display(value, column: str, decimals: dict[str, int]) -> str:

@@ -11,7 +11,6 @@ echo.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import tempfile
@@ -24,8 +23,8 @@ import numpy as np
 from .benchmarks import classify_top_journals, compute_benchmarks
 from .corpus import DEFAULT_DISCIPLINES, Corpus, CorpusError, parse_corpus
 from .indicators import IndicatorRow, aggregate
-from .reconcile import compile_rules, reconcile_corpus
-from .reporting import Table
+from .reconcile import compile_rules, normalize_address, reconcile_corpus
+from .reporting import Table, emit
 
 GENERATOR_NAME = "numpy-PCG64"
 
@@ -50,6 +49,10 @@ class FieldProfile:
     if_sigma: float = 0.5
 
     def validate(self) -> None:
+        # journals.csv joins a journal's fields with ";"; the loaders strip cells and reject empty ids.
+        fid = self.field_id
+        if not fid or ";" in fid or fid != fid.strip():
+            raise SynthError(f"field {fid!r}: id must be non-empty, without ';' or surrounding whitespace")
         if not all(map(math.isfinite, (self.mean_citations, self.dispersion, self.if_location, self.if_sigma))):
             raise SynthError(
                 f"field {self.field_id}: mean_citations, dispersion, if_location and if_sigma must be finite"
@@ -77,6 +80,8 @@ class SynthOrg:
         # rules.tsv holds one "name<TAB>id" per line.
         if any(c in self.org_id + self.name for c in "\t\r\n"):
             raise SynthError(f"org {self.org_id!r}: id and name must not contain a tab or line break")
+        if not normalize_address(self.name):
+            raise SynthError(f"org {self.org_id!r}: name {self.name!r} is empty after normalization")
         if self.org_type not in ("U", "RI", "H"):
             raise SynthError(f"org {self.org_id}: org_type must be U, RI or H")
         if not all(math.isfinite(w) and w >= 0 for w in self.field_mix.values()):
@@ -243,30 +248,23 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
 
     # Journals first so the draw order is independent of publication volume.
     journal_ids: dict[str, list[str]] = {}
+    journal_rows = []
+    for prof in spec.fields:
+        ifs = rng.lognormal(prof.if_location, prof.if_sigma, prof.journal_count)
+        ids = [f"J_{prof.field_id}_{i:03d}" for i in range(prof.journal_count)]
+        journal_rows += [(jid, f"Journal of {prof.field_id} {i}", float(ifs[i]), prof.field_id)
+                         for i, jid in enumerate(ids)]
+        journal_ids[prof.field_id] = ids
     journals_path = out / "journals.csv"
-    with open(journals_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("journal_id", "name", "impact_factor", "fields"))
-        for prof in spec.fields:
-            ifs = rng.lognormal(prof.if_location, prof.if_sigma, prof.journal_count)
-            ids = []
-            for i in range(prof.journal_count):
-                jid = f"J_{prof.field_id}_{i:03d}"
-                ids.append(jid)
-                writer.writerow((jid, f"Journal of {prof.field_id} {i}", repr(float(ifs[i])), prof.field_id))
-            journal_ids[prof.field_id] = ids
+    emit(Table(("journal_id", "name", "impact_factor", "fields"), tuple(journal_rows)), "csv", journals_path)
 
     orgs_path = out / "orgs.csv"
-    with open(orgs_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("org_id", "name", "org_type", "parent_id"))
-        writer.writerows((org.org_id, org.name, org.org_type, "") for org in spec.orgs)
+    org_rows = tuple((org.org_id, org.name, org.org_type, None) for org in spec.orgs)
+    emit(Table(("org_id", "name", "org_type", "parent_id"), org_rows), "csv", orgs_path)
 
     scheme_path = out / "fieldscheme.csv"
-    with open(scheme_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("field_id", "discipline_id"))
-        writer.writerows((prof.field_id, prof.discipline_id) for prof in spec.fields)
+    scheme_rows = tuple((prof.field_id, prof.discipline_id) for prof in spec.fields)
+    emit(Table(("field_id", "discipline_id"), scheme_rows), "csv", scheme_path)
 
     rules_path = out / "rules.tsv"
     with open(rules_path, "w", encoding="utf-8", newline="") as fh:

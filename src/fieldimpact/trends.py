@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .benchmarks import BenchmarkTables, TopJournalSet
-from .corpus import Corpus, CorpusError, _open_out
+from .corpus import Corpus, CorpusError
 from .indicators import IndicatorRow, _entity_id, aggregate
+from .reporting import Table, emit
 
 
 class GrowthError(CorpusError):
@@ -131,21 +131,12 @@ def series_growth(
 
 def write_trend_csv(stats: Iterable[GrowthStat], destination: str | Path | IO[str]) -> None:
     stats = list(stats)
-    slice_keys = [k for k, _ in stats[0].entity] if stats else []
-    with _open_out(destination) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            slice_keys
-            + ["metric", "first_year", "last_year", "avg_annual_increase_pct", "unstable_base_flag"]
-        )
-        for stat in stats:
-            writer.writerow(
-                [v for _, v in stat.entity]
-                + [
-                    stat.metric,
-                    stat.first_year,
-                    stat.last_year,
-                    f"{stat.avg_annual_increase_pct:.4f}",
-                    str(stat.unstable_base).lower(),
-                ]
-            )
+    slice_keys = tuple(k for k, _ in stats[0].entity) if stats else ()
+    columns = ("metric", "first_year", "last_year", "avg_annual_increase_pct", "unstable_base_flag")
+    rows = tuple(
+        tuple(v for _, v in stat.entity)
+        + (stat.metric, stat.first_year, stat.last_year, stat.avg_annual_increase_pct,
+           "true" if stat.unstable_base else "false")
+        for stat in stats
+    )
+    emit(Table(slice_keys + columns, rows, {"avg_annual_increase_pct": 4}), "csv", destination)

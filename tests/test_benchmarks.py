@@ -236,3 +236,32 @@ class TestCsvLoaderRejections:
     def test_empty_top_journal_cell_names_line(self, row):
         with pytest.raises(BenchmarkError, match=r"^top-journal CSV line 3: empty field_id or journal_id$"):
             load_top_journals_csv(io.StringIO("field_id,journal_id\nF1,J1\n" + row + "\n"))
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("field", "year,journal_id,n,jxcr\n2001,J1,1,2.0\n",
+             "benchmark CSV: expected header 'year,field_id,n,xcr', got 'year,journal_id,n,jxcr'"),
+            ("journal", "year,field_id,n,xcr\n2001,F1,1,2.0\n",
+             "benchmark CSV: expected header 'year,journal_id,n,jxcr', got 'year,field_id,n,xcr'"),
+            ("field", "", "benchmark CSV: empty file"),
+            ("journal", "", "benchmark CSV: empty file"),
+        ],
+    )
+    def test_benchmark_header_mismatch_or_empty_file(self, kind, text, message):
+        with pytest.raises(BenchmarkError) as info:
+            load_benchmark_csv(io.StringIO(text), kind)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("journal_id,field_id\nJ1,F1\n",
+             "top-journal CSV: expected header 'field_id,journal_id', got 'journal_id,field_id'"),
+            ("", "top-journal CSV: empty file"),
+        ],
+    )
+    def test_top_journal_header_mismatch_or_empty_file(self, text, message):
+        with pytest.raises(BenchmarkError) as info:
+            load_top_journals_csv(io.StringIO(text))
+        assert str(info.value) == message

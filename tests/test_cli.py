@@ -270,6 +270,21 @@ class TestBadInputDiagnostics:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("usage error: " + message)
 
+    @pytest.mark.parametrize("metrics", ["bogus", ",", "mean_cx,bogus", ""])
+    def test_bad_trend_metrics_fail_before_ingest(self, tiny_corpus_files, capsys, monkeypatch, metrics):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_ingest)
+        out = tiny_corpus_files["dir"] / "out"
+        code, err = self.run(
+            ["trend", *args_corpus(tiny_corpus_files), "--metrics", metrics, "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("usage error: --metrics: expected one or more of ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, config",
         [
@@ -378,6 +393,18 @@ class TestBadInputDiagnostics:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: benchmark CSV line")
         assert err[0].endswith(message)
+
+    def test_xcr_csv_wrong_header(self, tiny_corpus_files, capsys):
+        xcr = self.write(tiny_corpus_files, "xcr.csv", "year,journal_id,n,jxcr\n2003,J1,2,1.0\n")
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--xcr-csv", str(xcr),
+             "--out-dir", str(tiny_corpus_files["dir"] / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert err == [
+            "error: benchmark CSV: expected header 'year,field_id,n,xcr', got 'year,journal_id,n,jxcr'"
+        ]
 
     @pytest.mark.parametrize("option", ["pubs", "journals", "orgs", "fields", "rules"])
     def test_non_utf8_corpus_file(self, tiny_corpus_files, capsys, option):

@@ -12,6 +12,10 @@ Two inputs are frozen:
   cell, and an ``--xcr-csv`` table with the (2003, F2) cell removed, so
   the discipline-mean and exclusion paths are frozen too.
 
+``synth/world`` freezes the three registries that ``synth`` writes for
+the ``synth`` case (journals with full-precision impact factors, orgs,
+field scheme).
+
 The expected files are data, not a regeneration target: a change that
 alters them changes the engine's results.
 """
@@ -108,6 +112,13 @@ def test_golden_outputs_byte_identical(case, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
+def test_synth_registries_byte_identical(tmp_path):
+    """The registries `synth` writes for the golden spec, frozen under ``synth/world``."""
+    inputs = synth_inputs(tmp_path)
+    for key, name in (("journals", "journals.csv"), ("orgs", "orgs.csv"), ("fields", "fieldscheme.csv")):
+        assert inputs[key].read_bytes() == (GOLDEN / "synth" / "world" / name).read_bytes(), name
 
 
 def test_rank_by_subunit_has_no_empty_entity(tmp_path, capsys):

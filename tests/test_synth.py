@@ -83,6 +83,26 @@ class TestSpecValidation:
         with pytest.raises(SynthError, match="tab or line break"):
             spec.validate()
 
+    @pytest.mark.parametrize("name", ["!!!", " - "])
+    def test_org_name_that_normalizes_to_nothing_is_rejected(self, name):
+        spec = build_world_spec(7, n_fields=2, n_orgs=2)
+        spec = dataclasses.replace(spec, orgs=(dataclasses.replace(spec.orgs[0], name=name),))
+        with pytest.raises(SynthError, match="empty after normalization"):
+            spec.validate()
+
+    @pytest.mark.parametrize("field_id", ["F;0", " F0", "F0 ", "F0\t", ""])
+    def test_field_id_the_loaders_would_split_or_strip_is_rejected(self, tmp_path, capsys, field_id):
+        spec = build_world_spec(3, n_fields=2, n_orgs=2)
+        spec = dataclasses.replace(spec, fields=(dataclasses.replace(spec.fields[0], field_id=field_id),
+                                                 *spec.fields[1:]))
+        with pytest.raises(SynthError, match="must be non-empty, without ';' or surrounding whitespace"):
+            spec.validate()
+        path = tmp_path / "bad.spec"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        assert dispatch(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: field ")
+
     def test_spec_file_round_trip(self, tmp_path):
         spec = build_world_spec(7, n_fields=3, n_orgs=3)
         path = tmp_path / "synth.spec"
