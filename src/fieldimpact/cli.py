@@ -46,10 +46,12 @@ from .indicators import (
 )
 from .reconcile import compile_rules, reconcile_corpus
 from .reporting import FORMATS, RankingSpec, ReportError, default_filename, emit, rank, render
-from .synth import distortion_demo, generate_corpus, load_spec
+from .synth import DEFAULT_DEMO_SEED, distortion_demo, generate_corpus, load_spec
 from .trends import GROWTH_METRICS, GrowthError, annual_series, series_growth, write_trend_csv
 
 OUT_DIR_ENV = "FIELDIMPACT_OUT_DIR"
+
+_GROUP_BY = ("org", "subunit")
 
 
 class UsageError(Exception):
@@ -147,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common_opts(p)
     benchmark_opts(p)
     p.add_argument("--rules", help="rule file, required unless records carry attributions")
-    p.add_argument("--group-by", dest="group_by", choices=("org", "subunit"), help="ranked entity (default org)")
+    p.add_argument("--group-by", dest="group_by", choices=_GROUP_BY, help="ranked entity (default org)")
     p.add_argument("--discipline", help="restrict to one discipline")
     p.add_argument("--field", dest="field_filter", help="restrict to one field")
     p.add_argument("--metric", help="rank metric (default mean_cx)")
@@ -194,6 +196,12 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def _choice(choices: tuple[str, ...]):
+    """A converter that accepts only `choices`, as argparse does for the flag
+    (`index` raises ValueError for any other value)."""
+    return lambda value: choices[choices.index(value)]
 
 
 def _opt(args, config, key, default=None, convert=str):
@@ -255,7 +263,31 @@ def _threads(args, config) -> int:
     return threads
 
 
-def _load_benchmarks(args, config, corpus: Corpus):
+def _apply_rules(args, config, corpus: Corpus, rules_path: str):
+    """Compile the rule file, report its warnings and conflicts on stderr, and reconcile."""
+    rules = compile_rules(_in_path(rules_path, "--rules"), corpus.organizations)
+    for warning in rules.warnings:
+        print(warning, file=sys.stderr)
+    for conflict in rules.conflicts:
+        print(
+            "rule conflict: "
+            f"line {conflict.first.source_line} ({conflict.first.pattern!r}) vs "
+            f"line {conflict.second.source_line} ({conflict.second.pattern!r})",
+            file=sys.stderr,
+        )
+    return reconcile_corpus(corpus, rules, threads=_threads(args, config))
+
+
+def _analysis_inputs(args, config, keys: tuple[str, ...]):
+    """The corpus, benchmark tables and top-journal set for an analysis over
+    `keys`; an organizational key needs --rules or records with attributions."""
+    corpus = _load_corpus(args, config)
+    if any(k in _ORG_KEYS for k in keys):
+        rules_path = _opt(args, config, "rules")
+        if rules_path:
+            corpus = _apply_rules(args, config, corpus, rules_path).corpus
+        elif not any(rec.attributions for rec in corpus.records):
+            raise UsageError("organizational analysis needs --rules or records with attributions")
     xcr_csv = _opt(args, config, "xcr_csv")
     jxcr_csv = _opt(args, config, "jxcr_csv")
     top_csv = _opt(args, config, "top_csv")
@@ -266,21 +298,7 @@ def _load_benchmarks(args, config, corpus: Corpus):
         top_set = load_top_journals_csv(_in_path(top_csv, "--top-csv"), fraction)
     else:
         top_set = classify_top_journals(corpus.journals, corpus.field_scheme, fraction)
-    return BenchmarkTables(xcr, jxcr), top_set
-
-
-def _maybe_reconcile(args, config, corpus: Corpus) -> Corpus:
-    """Apply the rule file when given; otherwise require existing attributions."""
-    rules_path = _opt(args, config, "rules")
-    if rules_path:
-        rules = compile_rules(_in_path(rules_path, "--rules"), corpus.organizations)
-        for warning in rules.warnings:
-            print(warning, file=sys.stderr)
-        result = reconcile_corpus(corpus, rules, threads=_threads(args, config))
-        return result.corpus
-    if any(rec.attributions for rec in corpus.records):
-        return corpus
-    raise UsageError("organizational analysis needs --rules or records with attributions")
+    return corpus, BenchmarkTables(xcr, jxcr), top_set
 
 
 def _cmd_validate(args, config) -> int:
@@ -291,20 +309,7 @@ def _cmd_validate(args, config) -> int:
 
 
 def _cmd_reconcile(args, config) -> int:
-    corpus = _load_corpus(args, config)
-    rules = compile_rules(
-        _in_path(_req(args, config, "rules", "--rules"), "--rules"), corpus.organizations
-    )
-    for warning in rules.warnings:
-        print(warning, file=sys.stderr)
-    for conflict in rules.conflicts:
-        print(
-            "rule conflict: "
-            f"line {conflict.first.source_line} ({conflict.first.pattern!r}) vs "
-            f"line {conflict.second.source_line} ({conflict.second.pattern!r})",
-            file=sys.stderr,
-        )
-    result = reconcile_corpus(corpus, rules, threads=_threads(args, config))
+    result = _apply_rules(args, config, _load_corpus(args, config), _req(args, config, "rules", "--rules"))
     out = _out_dir(args, config)
     reconciled_path = out / "publications.reconciled.jsonl"
     write_publications_jsonl(result.corpus, reconciled_path)
@@ -347,10 +352,7 @@ def _parse_slice(raw: str) -> tuple[str, ...]:
 
 def _cmd_indicators(args, config) -> int:
     keys = _parse_slice(_opt(args, config, "slice_spec", "nation"))
-    corpus = _load_corpus(args, config)
-    if any(k in _ORG_KEYS for k in keys):
-        corpus = _maybe_reconcile(args, config, corpus)
-    benchmarks, top_set = _load_benchmarks(args, config, corpus)
+    corpus, benchmarks, top_set = _analysis_inputs(args, config, keys)
     rows = aggregate(corpus, keys, benchmarks, top_set)
     out = _out_dir(args, config)
     stem = "indicators_" + "_".join(keys)
@@ -361,36 +363,30 @@ def _cmd_indicators(args, config) -> int:
 
 
 def _cmd_rank(args, config) -> int:
-    group_by = _opt(args, config, "group_by", "org")
+    group_by = _opt(args, config, "group_by", "org", _choice(_GROUP_BY))
     metric = _opt(args, config, "metric", "mean_cx")
     min_weight = _opt(args, config, "min_weight", 50.0, _finite)
     limit = _opt(args, config, "limit", 10, _integer)
-    fmt = _opt(args, config, "fmt", "csv")
+    fmt = _opt(args, config, "fmt", "csv", _choice(FORMATS))
     discipline = _opt(args, config, "discipline")
     field_filter = _opt(args, config, "field_filter")
     if discipline and field_filter:
         raise UsageError("--discipline and --field are mutually exclusive")
-    slice_label = group_by + (f"_{discipline or field_filter}" if (discipline or field_filter) else "")
+    # The one slice key the ranking is restricted to, and its value.
+    within = ("discipline", discipline) if discipline else ("field", field_filter) if field_filter else ()
+    slice_label = group_by + (f"_{within[1]}" if within else "")
     try:
         spec = RankingSpec(slice_label=slice_label, rank_metric=metric, min_weight=min_weight, limit=limit)
     except ReportError as exc:
         raise UsageError(str(exc)) from None
 
-    corpus = _maybe_reconcile(args, config, _load_corpus(args, config))
-    benchmarks, top_set = _load_benchmarks(args, config, corpus)
-
-    keys: tuple[str, ...] = (group_by,)
-    if discipline:
-        keys += ("discipline",)
-    elif field_filter:
-        keys += ("field",)
+    keys = (group_by, within[0]) if within else (group_by,)
+    corpus, benchmarks, top_set = _analysis_inputs(args, config, keys)
     rows = aggregate(
         corpus, keys, benchmarks, top_set, with_top_decile=metric == "top_decile_mean_cx"
     )
-    if discipline:
-        rows = _filter_entity(rows, "discipline", discipline)
-    elif field_filter:
-        rows = _filter_entity(rows, "field", field_filter)
+    if within:
+        rows = _filter_entity(rows, *within)
 
     table = rank(rows, spec)
     out_opt = _opt(args, config, "out")
@@ -426,12 +422,9 @@ def _cmd_trend(args, config) -> int:
     metrics = tuple(m.strip() for m in raw_metrics.split(",") if m.strip())
     if not metrics or not set(metrics) <= set(GROWTH_METRICS):
         raise UsageError(f"--metrics: expected one or more of {GROWTH_METRICS}, got {raw_metrics!r}")
-    corpus = _load_corpus(args, config)
-    if any(k in _ORG_KEYS for k in keys):
-        corpus = _maybe_reconcile(args, config, corpus)
-    benchmarks, top_set = _load_benchmarks(args, config, corpus)
-    series = annual_series(corpus, keys, benchmarks, top_set)
     floor = _opt(args, config, "unstable_floor", convert=_finite)
+    corpus, benchmarks, top_set = _analysis_inputs(args, config, keys)
+    series = annual_series(corpus, keys, benchmarks, top_set)
     stats = []
     for s in series:
         for metric in metrics:
@@ -458,15 +451,9 @@ def _cmd_synth(args, config) -> int:
 
 
 def _cmd_demo(args, config) -> int:
-    fmt = _opt(args, config, "fmt", "markdown")
-    kwargs = {}
-    seed = _opt(args, config, "seed", convert=_integer)
-    if seed is not None:
-        kwargs["seed"] = seed
-    out_dir = _opt(args, config, "out_dir")
-    if out_dir:
-        kwargs["out_dir"] = _out_dir(args, config)
-    report = distortion_demo(**kwargs)
+    fmt = _opt(args, config, "fmt", "markdown", _choice(FORMATS))
+    seed = _opt(args, config, "seed", DEFAULT_DEMO_SEED, _integer)
+    report = distortion_demo(seed, _out_dir(args, config) if _opt(args, config, "out_dir") else None)
     print("Ranking by raw citations per publication:")
     print(render(report.raw_ranking, fmt))
     print("Ranking by field-standardized impact:")

@@ -266,6 +266,8 @@ def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[Publication
         diagnostics.append("citations must be an integer")
     elif citations < 0:
         diagnostics.append("citations must be non-negative")
+    elif citations >= 2**53:  # standardized ratios divide the count as a float
+        diagnostics.append("citations must be below 2**53")
 
     addresses_raw = raw.get("addresses", [])
     addresses: tuple[str, ...] = ()
@@ -556,26 +558,18 @@ def parse_corpus(
     scheme = load_field_scheme(field_scheme)
     records, diagnostics = parse_publications(publications)
 
-    dangling_journals: set[str] = set()
-    dangling_fields: set[str] = set()
-    dangling_orgs: set[str] = set()
-    for rec in records:
-        if rec.journal_id not in journal_registry:
-            dangling_journals.add(rec.journal_id)
-        for f in rec.field_ids:
-            if f not in scheme:
-                dangling_fields.add(f)
-        for att in rec.attributions:
-            if att.org_id not in org_registry:
-                dangling_orgs.add(att.org_id)
-            if att.subunit_id is not None:
-                subunit = org_registry.get(att.subunit_id)
-                if subunit is None or subunit.parent_id != att.org_id:
-                    dangling_orgs.add(att.subunit_id)
-    for journal in journal_registry.values():
-        for f in journal.field_ids:
-            if f not in scheme:
-                dangling_fields.add(f)
+    dangling_journals = {rec.journal_id for rec in records}.difference(journal_registry)
+    field_refs = {f for rec in records for f in rec.field_ids}
+    field_refs.update(f for journal in journal_registry.values() for f in journal.field_ids)
+    dangling_fields = field_refs.difference(scheme.field_to_discipline)
+    # Ingest shares one tuple per distinct attribution list: dedupe by identity,
+    # since hashing the tuples would hash every weight.
+    attributions = {a for t in {id(r.attributions): r.attributions for r in records}.values() for a in t}
+    dangling_orgs = {a.org_id for a in attributions}.difference(org_registry)
+    dangling_orgs.update(
+        a.subunit_id for a in attributions if a.subunit_id is not None
+        and (a.subunit_id not in org_registry or org_registry[a.subunit_id].parent_id != a.org_id)
+    )
     dangling = (("journal", dangling_journals), ("field", dangling_fields), ("organization", dangling_orgs))
     for what, names in dangling:
         if names:
@@ -599,9 +593,12 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
     Attributions, when present, are carried in an optional key with exact
     fractional weights so reconciled corpora survive a round trip.
     """
+    # Records share one attribution tuple per distinct list, and the corpus keeps
+    # every tuple alive, so each is encoded once, keyed by identity.
+    encoded: dict[int, str] = {}
     with _open_out(destination) as fh:
         for rec in corpus.records:
-            obj: dict[str, object] = {
+            line = json.dumps({
                 "id": rec.id,
                 "year": rec.year,
                 "doc_type": rec.doc_type.value,
@@ -609,14 +606,14 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
                 "fields": list(rec.field_ids),
                 "citations": rec.citations,
                 "addresses": list(rec.addresses),
-            }
+            })
             if rec.attributions:
-                obj["attributions"] = [
-                    {
-                        "org": a.org_id,
-                        "subunit": a.subunit_id,
-                        "weight": f"{a.weight.numerator}/{a.weight.denominator}",
-                    }
-                    for a in rec.attributions
-                ]
-            fh.write(json.dumps(obj) + "\n")
+                text = encoded.get(id(rec.attributions))
+                if text is None:
+                    text = encoded[id(rec.attributions)] = json.dumps([
+                        {"org": a.org_id, "subunit": a.subunit_id,
+                         "weight": f"{a.weight.numerator}/{a.weight.denominator}"}
+                        for a in rec.attributions
+                    ])
+                line = f'{line[:-1]}, "attributions": {text}}}'
+            fh.write(line + "\n")

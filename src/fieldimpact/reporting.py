@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 from datetime import date
 from pathlib import Path
@@ -105,6 +106,10 @@ def emit(table: Table, fmt: str, destination: str | Path | IO[str]) -> None:
 
 
 def render(table: Table, fmt: str) -> str:
+    for row in table.rows:
+        for column, value in zip(table.columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ReportError(f"column {column!r} holds the non-finite value {value!r}")
     if fmt == "json":
         payload = [dict(zip(table.columns, row)) for row in table.rows]
         return json.dumps(payload, indent=2) + "\n"

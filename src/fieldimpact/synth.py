@@ -15,7 +15,7 @@ import json
 import math
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,8 @@ class SynthOrg:
             raise SynthError(f"org {self.org_id!r}: id and name must not contain a tab or line break")
         if not normalize_address(self.name):
             raise SynthError(f"org {self.org_id!r}: name {self.name!r} is empty after normalization")
+        if self.name.lstrip().startswith("#"):
+            raise SynthError(f"org {self.org_id!r}: name {self.name!r} would read as a rules.tsv comment")
         if self.org_type not in ("U", "RI", "H"):
             raise SynthError(f"org {self.org_id}: org_type must be U, RI or H")
         if not all(math.isfinite(w) and w >= 0 for w in self.field_mix.values()):
@@ -135,35 +137,10 @@ class SynthSpec:
         return range(self.year_start, self.year_end + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "years": [self.year_start, self.year_end],
-            "coauthor_rate": self.coauthor_rate,
-            "doc_type_weights": list(self.doc_type_weights),
-            "address_variants": self.address_variants,
-            "fields": [
-                {
-                    "field_id": p.field_id,
-                    "discipline_id": p.discipline_id,
-                    "mean_citations": p.mean_citations,
-                    "dispersion": p.dispersion,
-                    "journal_count": p.journal_count,
-                    "annual_volume": p.annual_volume,
-                    "if_location": p.if_location,
-                    "if_sigma": p.if_sigma,
-                }
-                for p in self.fields
-            ],
-            "orgs": [
-                {
-                    "org_id": o.org_id,
-                    "name": o.name,
-                    "org_type": o.org_type,
-                    "field_mix": dict(o.field_mix),
-                }
-                for o in self.orgs
-            ],
-        }
+        """The spec as `spec_from_dict` reads it, with JSON lists in place of tuples."""
+        raw = asdict(self, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items})
+        raw["years"] = [raw.pop("year_start"), raw.pop("year_end")]
+        return raw
 
 
 def spec_from_dict(raw: dict) -> SynthSpec:

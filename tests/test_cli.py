@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,25 @@ class TestReconcileCmd:
             )
             outs.append((out / "publications.reconciled.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestRuleFileReport:
+    def test_every_rules_command_prints_the_conflicts(self, tmp_path, capsys):
+        """The fixture plus one rule inside three others: the same three lines from each command."""
+        src = Path(__file__).parent / "golden" / "fixture" / "input"
+        rules = tmp_path / "rules.tsv"
+        rules.write_text((src / "rules.tsv").read_text(encoding="utf-8") + "alpha\tB\n", encoding="utf-8")
+        corpus = ["--pubs", str(src / "publications.jsonl"), "--journals", str(src / "journals.csv"),
+                  "--orgs", str(src / "orgs.csv"), "--fields", str(src / "fields.csv"), "--rules", str(rules)]
+        out = ["--out-dir", str(tmp_path / "out")]
+        reported = []
+        for argv in (["reconcile", *out], ["indicators", "--slice", "org", *out],
+                     ["rank", "--min-weight", "0", "--out", "-"], ["trend", "--slice", "org", *out]):
+            assert dispatch([argv[0], *corpus, *argv[1:]]) == 0, argv
+            err = capsys.readouterr().err.splitlines()
+            reported.append([line for line in err if line.startswith("rule conflict:")])
+        assert len(reported[0]) == 3
+        assert reported[1:] == [reported[0]] * 3
 
 
 class TestBenchmarkCmd:
@@ -154,6 +174,15 @@ class TestRankCmd:
         # Only p3 is in Biology (field F2), attributed half to A and half to B.
         assert len(lines) == 3
         assert all(line.split(",")[1] == "0.5" for line in lines[1:])
+
+    @pytest.mark.parametrize("flag, value", [("--discipline", "Biology"), ("--field", "F2")])
+    def test_restricted_ranking_names_its_file(self, tiny_corpus_files, tmp_path, flag, value):
+        out = tmp_path / "r"
+        assert dispatch(self.rank_args(tiny_corpus_files, flag, value, "--out-dir", str(out))) == 0
+        (produced,) = out.glob(f"org_{value}_mean_cx_*.csv")
+        # F2 is Biology's only field: p3, attributed half to A and half to B.
+        rows = sorted(line.split(",")[:2] for line in produced.read_text().splitlines()[1:])
+        assert rows == [["A", "0.5"], ["B", "0.5"]]
 
     def test_config_file_with_flag_override(self, tiny_corpus_files, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -284,6 +313,52 @@ class TestBadInputDiagnostics:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("usage error: --metrics: expected one or more of ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("rank", {"group_by": "nation"}),
+            ("rank", {"fmt": "xml"}),
+            ("trend", {"unstable_floor": "x"}),
+            ("demo-distortion", {"fmt": "xml"}),
+        ],
+    )
+    def test_config_choice_fails_before_any_input(self, tiny_corpus_files, capsys, monkeypatch, command, config):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        monkeypatch.setattr(cli, "distortion_demo", no_input)
+        path = self.write(tiny_corpus_files, "run.json", json.dumps(config))
+        files = args_corpus(tiny_corpus_files, "--rules", str(tiny_corpus_files["rules"]))
+        argv = [command, *(files if command != "demo-distortion" else []), "--config", str(path)]
+        code, err = self.run(argv, capsys)
+        (key, value), = config.items()
+        assert code == 2
+        assert err == [f"usage error: invalid value for {key}: {value!r}"]
+
+    def test_citation_count_beyond_float_precision(self, tiny_corpus_files, capsys):
+        pubs = tiny_corpus_files["pubs"]
+        lines = pubs.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"citations": 2', '"citations": ' + str(10**400))
+        pubs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = self.run(["benchmark", *args_corpus(tiny_corpus_files),
+                              "--out-dir", str(tiny_corpus_files["dir"] / "out")], capsys)
+        assert code == 1
+        assert err == ["publications line 2 (record p2): citations must be below 2**53",
+                       "validation failed: 1 diagnostic(s)"]
+
+    def test_non_finite_indicator_is_refused(self, tiny_corpus_files, capsys):
+        # A mean of 5e-324 is finite, but p2's 2 citations over it are not.
+        xcr = self.write(tiny_corpus_files, "xcr.csv", "year,field_id,n,xcr\n2003,F1,2,5e-324\n")
+        out = tiny_corpus_files["dir"] / "out"
+        code, err = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--xcr-csv", str(xcr), "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err == ["error: column 'mean_cx' holds the non-finite value inf"]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, config",

@@ -133,6 +133,17 @@ class TestParseCorpus:
         )
         assert reloaded.records == attributed.records
 
+    def test_writer_matches_one_encoding_per_record(self):
+        """Shared attribution tuples are encoded once; each line reads as if dumped whole."""
+        atts = [att("A", "1/3"), att("B", "2/3", subunit="B1")]
+        pubs = [pub("p1", attributions=atts), pub("p2", addresses=["x"]), pub("p3", attributions=atts)]
+        corpus = mk_corpus(
+            pubs, orgs=[("A", "Alpha", "U", None), ("B", "Beta", "RI", None), ("B1", "Lab", "RI", "B")]
+        )
+        buf = io.StringIO()
+        write_publications_jsonl(corpus, buf)
+        assert buf.getvalue().splitlines() == [json.dumps(p) for p in pubs]  # `pub` keys are in file order
+
     def test_attribution_weights_must_sum_to_one(self):
         with pytest.raises(CorpusValidationError) as exc:
             mk_corpus([pub("p1", attributions=[att("ORG_A", "1/2")])])
@@ -240,6 +251,16 @@ class TestValidateRecord:
     def test_negative_citations(self):
         _, diags = validate_record({**pub("p1"), "citations": -1})
         assert any("citations must be non-negative" in d for d in diags)
+
+    @pytest.mark.parametrize("citations", [2**53, 2**53 + 1, 10**400], ids=["2**53", "2**53+1", "10**400"])
+    def test_citations_beyond_float_precision(self, citations):
+        record, diags = validate_record({**pub("p1"), "citations": citations})
+        assert record is None
+        assert diags == ["citations must be below 2**53"]
+
+    def test_largest_exact_citation_count_accepted(self):
+        record, diags = validate_record({**pub("p1"), "citations": 2**53 - 1})
+        assert diags == [] and record.citations == 2**53 - 1
 
     def test_duplicate_field(self):
         _, diags = validate_record({**pub("p1"), "fields": ["F1", "F1"]})

@@ -10,6 +10,7 @@ from fieldimpact.indicators import IndicatorRow
 from fieldimpact.reporting import (
     RankingSpec,
     ReportError,
+    Table,
     default_filename,
     emit,
     load_table_json,
@@ -124,6 +125,15 @@ class TestEmit:
     def test_empty_table_emits_header_only(self):
         table = rank([], RankingSpec("org", "mean_cx"))
         assert render(table, "csv") == "entity,weight,mean_cx,top_share_pct,mean_cjx\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_refused(self, tmp_path, fmt, value):
+        table = Table(("entity", "mean_cx"), (("A", 1.0), ("B", value)))
+        path = tmp_path / "t.out"
+        with pytest.raises(ReportError, match="column 'mean_cx' holds the non-finite value"):
+            emit(table, fmt, path)
+        assert not path.exists()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ReportError):

@@ -83,6 +83,18 @@ class TestSpecValidation:
         with pytest.raises(SynthError, match="tab or line break"):
             spec.validate()
 
+    @pytest.mark.parametrize("name", ["#1 University", "  # Institute"])
+    def test_org_name_that_rules_tsv_reads_as_a_comment_is_rejected(self, tmp_path, capsys, name):
+        spec = build_world_spec(3, n_fields=2, n_orgs=2, annual_volume=20)
+        spec = dataclasses.replace(spec, orgs=(dataclasses.replace(spec.orgs[0], name=name), *spec.orgs[1:]))
+        with pytest.raises(SynthError, match="would read as a rules.tsv comment"):
+            spec.validate()
+        path = tmp_path / "bad.spec"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        assert dispatch(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: org ")
+
     @pytest.mark.parametrize("name", ["!!!", " - "])
     def test_org_name_that_normalizes_to_nothing_is_rejected(self, name):
         spec = build_world_spec(7, n_fields=2, n_orgs=2)
@@ -108,6 +120,11 @@ class TestSpecValidation:
         path = tmp_path / "synth.spec"
         path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
         assert load_spec(path) == spec
+
+    def test_to_dict_holds_only_json_types(self):
+        raw = build_world_spec(7, n_fields=2, n_orgs=2).to_dict()
+        assert raw == json.loads(json.dumps(raw))  # tuples would come back as lists
+        assert raw["years"] == [2001, 2006] and "year_start" not in raw and "year_end" not in raw
 
 
 class TestGeneration:
