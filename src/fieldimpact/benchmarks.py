@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
+from .columns import exact_dtype, record_columns, segments
 from .corpus import Corpus, CorpusError, FieldScheme, Journal, _read_csv
 from .reporting import Table, emit
 
@@ -64,36 +67,42 @@ class CitationBenchmarkTable:
         return tuple(sorted(k for k, c in self.cells.items() if c.mean == 0.0))
 
 
-def _mean_table(kind: str, pairs: Iterable[tuple[tuple[int, str], int]]) -> CitationBenchmarkTable:
-    totals: dict[tuple[int, str], int] = {}
-    counts: dict[tuple[int, str], int] = {}
-    for key, citations in pairs:
-        totals[key] = totals.get(key, 0) + citations
-        counts[key] = counts.get(key, 0) + 1
-    if not counts:
+def _cell_sums(a: np.ndarray, b: np.ndarray, n_b: int, citations: np.ndarray):
+    """Per distinct code pair (a[k], b[k]) of the rows: (i, j, count, exact citation total)."""
+    if not len(a):
         raise BenchmarkError("no benchmark data")
-    cells = {key: BenchmarkCell(counts[key], totals[key] / counts[key]) for key in counts}
-    return CitationBenchmarkTable(kind, cells)
+    order, starts = segments(a.astype(np.int64) * n_b + b)
+    dtype = exact_dtype(int(citations.max()) * len(citations))
+    totals = np.add.reduceat(citations[order].astype(dtype, copy=False), starts).tolist()
+    counts = np.diff(np.append(starts, len(order))).tolist()
+    first = order[starts]
+    return zip(a[first].tolist(), b[first].tolist(), counts, totals)
+
+
+def _mean_table(kind: str, sums: Mapping[tuple[int, str], Sequence[int]]) -> CitationBenchmarkTable:
+    """Cells from (count, total) per key; means are Python int/int divisions."""
+    return CitationBenchmarkTable(kind, {key: BenchmarkCell(n, total / n) for key, (n, total) in sums.items()})
 
 
 def compute_xcr(benchmark_corpus: Corpus) -> CitationBenchmarkTable:
     """Expected citation rate per (year, field) over the benchmark corpus."""
-    return _mean_table(
-        "field",
-        (
-            ((rec.year, field_id), rec.citations)
-            for rec in benchmark_corpus.records
-            for field_id in rec.field_ids
-        ),
-    )
+    cols = record_columns(benchmark_corpus)
+    sums: dict[tuple[int, str], list[int]] = {}
+    for y, t, n, total in _cell_sums(cols.year, cols.fields, len(cols.field_tuples), cols.citations):
+        for field_id in cols.field_tuples[t]:
+            cell = sums.setdefault((cols.years[y], field_id), [0, 0])
+            cell[0] += n
+            cell[1] += total
+    return _mean_table("field", sums)
 
 
 def compute_jxcr(benchmark_corpus: Corpus) -> CitationBenchmarkTable:
     """Expected citation rate per (year, journal) over the benchmark corpus."""
-    return _mean_table(
-        "journal",
-        (((rec.year, rec.journal_id), rec.citations) for rec in benchmark_corpus.records),
-    )
+    cols = record_columns(benchmark_corpus)
+    return _mean_table("journal", {
+        (cols.years[y], cols.journals[j]): (n, total)
+        for y, j, n, total in _cell_sums(cols.year, cols.journal, len(cols.journals), cols.citations)
+    })
 
 
 @dataclass(frozen=True, slots=True)

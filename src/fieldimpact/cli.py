@@ -263,7 +263,7 @@ def _threads(args, config) -> int:
     return threads
 
 
-def _apply_rules(args, config, corpus: Corpus, rules_path: str):
+def _apply_rules(corpus: Corpus, rules_path: str, threads: int):
     """Compile the rule file, report its warnings and conflicts on stderr, and reconcile."""
     rules = compile_rules(_in_path(rules_path, "--rules"), corpus.organizations)
     for warning in rules.warnings:
@@ -275,17 +275,22 @@ def _apply_rules(args, config, corpus: Corpus, rules_path: str):
             f"line {conflict.second.source_line} ({conflict.second.pattern!r})",
             file=sys.stderr,
         )
-    return reconcile_corpus(corpus, rules, threads=_threads(args, config))
+    return reconcile_corpus(corpus, rules, threads=threads)
 
 
 def _analysis_inputs(args, config, keys: tuple[str, ...]):
     """The corpus, benchmark tables and top-journal set for an analysis over
-    `keys`; an organizational key needs --rules or records with attributions."""
+    `keys`; an organizational key needs --rules or records with attributions.
+    --threads is checked for every slice before any input is read."""
+    threads = _threads(args, config)
+    rules_path = _opt(args, config, "rules")
+    organizational = any(k in _ORG_KEYS for k in keys)
+    if rules_path and not organizational:
+        print(f"warning: --rules ignored: slice {','.join(keys)!r} has no organizational key", file=sys.stderr)
     corpus = _load_corpus(args, config)
-    if any(k in _ORG_KEYS for k in keys):
-        rules_path = _opt(args, config, "rules")
+    if organizational:
         if rules_path:
-            corpus = _apply_rules(args, config, corpus, rules_path).corpus
+            corpus = _apply_rules(corpus, rules_path, threads).corpus
         elif not any(rec.attributions for rec in corpus.records):
             raise UsageError("organizational analysis needs --rules or records with attributions")
     xcr_csv = _opt(args, config, "xcr_csv")
@@ -309,7 +314,8 @@ def _cmd_validate(args, config) -> int:
 
 
 def _cmd_reconcile(args, config) -> int:
-    result = _apply_rules(args, config, _load_corpus(args, config), _req(args, config, "rules", "--rules"))
+    threads = _threads(args, config)
+    result = _apply_rules(_load_corpus(args, config), _req(args, config, "rules", "--rules"), threads)
     out = _out_dir(args, config)
     reconciled_path = out / "publications.reconciled.jsonl"
     write_publications_jsonl(result.corpus, reconciled_path)

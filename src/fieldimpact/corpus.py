@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
@@ -146,6 +146,9 @@ class Corpus:
     organizations: Mapping[str, Organization]
     field_scheme: FieldScheme
     census_date: date | None = None
+    # The records as columns, filled on first use by `columns.record_columns`;
+    # `dataclasses.replace` makes a new corpus with none.
+    _columns: object = field(default=None, init=False, repr=False, compare=False)
 
     def summary(self) -> CorpusSummary:
         counts = {dt.value: 0 for dt in DocType}
@@ -180,14 +183,17 @@ def census_citations(
     """Count citation events observed up to and including the census date.
 
     A precomputed integer count passes through unchanged (census date
-    ignored). Events dated before the publication year are counted but
-    flagged, since such noise occurs in real exports.
+    ignored); like an ingested count, it must be below 2**53. Events dated
+    before the publication year are counted but flagged, since such noise
+    occurs in real exports.
     """
     if isinstance(citation_events, bool):
         raise CorpusError("citation_events must be dates or an integer count")
     if isinstance(citation_events, int):
         if citation_events < 0:
             raise CorpusError("precomputed citation count must be non-negative")
+        if citation_events >= 2**53:
+            raise CorpusError("citations must be below 2**53")
         return CensusCount(citation_events, ())
     cutoff = _as_date(census_date, "census_date") if census_date is not None else None
     if cutoff is None:

@@ -10,6 +10,20 @@ discipline. Aggregation weights are exact rationals (fractional
 counting), summed as integer numerators over the lcm of the call's
 weight denominators, and float reductions use exact compensated
 summation, so results do not depend on evaluation order or thread count.
+
+`aggregate` is one numpy kernel over the corpus's record columns. It
+expands every record into one row per (context, share), groups the rows
+by one stable sort and reduces each group. Its exactness contract:
+
+- the float expressions are those of the scalar definition: one rate
+  `_mean_expected_rate(...)` per (year, fields) cell, `citations / rate`,
+  `(numerator / denominator) * ratio`, and one `math.fsum` per group,
+  which is correctly rounded, so the grouping order cannot move a bit;
+- exact sums (weights, weighted citations, top-journal weights) are
+  int64 numerators over the lcm, or Python ints when
+  lcm * max(citations) * rows could reach 2**63;
+- the top-decile mean is the `fsum` of a group's k largest ratios, a
+  multiset that ties do not change.
 """
 
 from __future__ import annotations
@@ -20,12 +34,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .benchmarks import (
     BenchmarkError,
     BenchmarkTables,
     CitationBenchmarkTable,
     TopJournalSet,
 )
+from .columns import encode, exact_dtype, expand, per_pair, record_columns, segments
 from .corpus import Corpus, CorpusError, OrgType, PublicationRecord
 from .reporting import Table, emit
 
@@ -90,33 +107,6 @@ def _entity_id(entity: tuple[tuple[str, object], ...]) -> str:
     return "|".join("" if v is None else str(v) for _, v in entity)
 
 
-class _Acc:
-    """Running sums of one group; `weight`, `cit`, `top` and `cjx` are numerators over `scale`."""
-
-    __slots__ = (
-        "weight",
-        "wr_parts",
-        "top",
-        "cjx",
-        "wcjx_parts",
-        "cit",
-        "n_pubs",
-        "n_excluded",
-        "scored",
-    )
-
-    def __init__(self, keep_scored: bool):
-        self.weight = 0
-        self.wr_parts: list[float] = []
-        self.top = 0
-        self.cjx = 0
-        self.wcjx_parts: list[float] = []
-        self.cit = 0
-        self.n_pubs = 0
-        self.n_excluded = 0
-        self.scored: list[tuple[float, str]] | None = [] if keep_scored else None
-
-
 def _validate_slice(slice_spec: Sequence[str]) -> tuple[str, ...]:
     keys = tuple(slice_spec)
     if not keys:
@@ -151,136 +141,170 @@ def aggregate(
     denominators (1 on non-organizational slices).
     """
     keys = _validate_slice(slice_spec)
-    org_sliced = any(k in _ORG_KEYS for k in keys)
-    by_field = "field" in keys
-    by_discipline = "discipline" in keys
-    scheme = corpus.field_scheme
-    xcr = benchmarks.xcr
-    jxcr = benchmarks.jxcr
+    cols = record_columns(corpus)
+    years, journals, field_tuples = cols.years, cols.journals, cols.field_tuples
+    discipline_of = corpus.field_scheme.discipline_of
 
-    scale = 1
-    if org_sliced:
-        scale = math.lcm(*{a.weight.denominator for rec in corpus.records for a in rec.attributions})
-    accs: dict[tuple, _Acc] = {}
-    # Denominator per (year, fields) context; None marks an excluded context.
-    mean_rates: dict[tuple, float | None] = {}
+    # Standardization contexts per distinct field tuple: the fields whose
+    # expected rates are averaged, and the context's slice values.
+    if "field" in keys:
+        contexts = [[((f,), {"field": f, "discipline": discipline_of(f)}) for f in t] for t in field_tuples]
+    elif "discipline" in keys:
+        contexts = [
+            [(tuple([f for f in t if discipline_of(f) == d]), {"discipline": d})
+             for d in sorted({discipline_of(f) for f in t})]
+            for t in field_tuples
+        ]
+    else:
+        contexts = [[(t, {})] for t in field_tuples]
+    # Shares per distinct attribution tuple: float weight, exact weight over
+    # `scale`, and slice values. Off organizational slices every record has
+    # one share of 1; on them an unattributed record has none.
+    if any(k in _ORG_KEYS for k in keys):
+        scale = math.lcm(*{a.weight.denominator for t in cols.attribution_tuples for a in t})
+        org_type = {org.id: org.org_type.value for org in corpus.organizations.values()}
+        shares = [
+            [(
+                a.weight.numerator / a.weight.denominator,
+                a.weight.numerator * (scale // a.weight.denominator),
+                {
+                    "org_type": org_type[a.org_id],
+                    "org": a.org_id,
+                    # An org-level share is labelled with its organization;
+                    # org and sub-unit ids share one registry.
+                    "subunit": a.subunit_id or a.org_id,
+                },
+            ) for a in t]
+            for t in cols.attribution_tuples
+        ]
+        share_of = cols.attributions
+    else:
+        scale, shares, share_of = 1, [[(1.0, 1, {})]], np.zeros(len(cols.citations), np.int32)
 
-    for rec in corpus.records:
-        if org_sliced and not rec.attributions:
-            continue
+    # Context rows, one per record x context, and their ratios; NaN marks a
+    # missing or degenerate benchmark cell.
+    crec, cid = expand(cols.fields, [len(c) for c in contexts])
+    contexts = [c for cs in contexts for c in cs]
+    sub_of, subs = encode(fields for fields, _ in contexts)
+    rates = per_pair(cols.year[crec], sub_of[cid], len(subs),
+                     lambda y, s: _or_nan(_mean_expected_rate, years[y], subs[s], benchmarks.xcr), float)
+    with np.errstate(over="ignore"):
+        ratio = cols.citations[crec] / rates
+    del rates
+    # Group code: mixed radix over the slice's record, context and share values.
+    code, span = np.zeros(len(crec), np.int64), 1
+    if "year" in keys:
+        code, span = _combine(code, span, cols.year[crec], len(years))
+    if "doc_type" in keys:
+        code, span = _combine(code, span, cols.doc_type[crec], len(cols.doc_types))
+    label_of, labels = encode(tuple(v.get(k) for k in keys) for _, v in contexts)
+    code, span = _combine(code, span, label_of[cid], len(labels))
 
-        # Standardization contexts: the fields whose expected rates are averaged.
-        if by_field:
-            contexts = [
-                ({"field": f, "discipline": scheme.discipline_of(f)}, (f,))
-                for f in rec.field_ids
-            ]
-        elif by_discipline:
-            discs = sorted({scheme.discipline_of(f) for f in rec.field_ids})
-            contexts = [
-                ({"discipline": d}, tuple([f for f in rec.field_ids if scheme.discipline_of(f) == d]))
-                for d in discs
-            ]
-        else:
-            contexts = [({}, rec.field_ids)]
+    # Rows, one per context row x share: record-major, so within a group
+    # records keep corpus order after a stable sort, and a record's first
+    # touch of the group starts a run of its record index.
+    row_ctx, sid = expand(share_of[crec], [len(s) for s in shares])
+    shares = [s for ss in shares for s in ss]
+    if not len(sid):
+        return []
+    label_of, labels = encode(tuple(v.get(k) for k in keys) for _, _, v in shares)
+    code, span = _combine(code[row_ctx], span, label_of[sid], len(labels))
+    order, starts = segments(code)
+    del code
+    ends = np.append(starts[1:], len(order))
+    pick = row_ctx[order]
+    rec, ratio, sid, group_ctx = crec[pick], ratio[pick], sid[order], cid[pick[starts]]
+    del row_ctx, order, pick, crec, cid
 
-        # Shares: (float weight, exact weight over `scale`, entity values).
-        if org_sliced:
-            shares = [
-                (
-                    att.weight.numerator / att.weight.denominator,
-                    att.weight.numerator * (scale // att.weight.denominator),
-                    {
-                        "org_type": corpus.organizations[att.org_id].org_type.value,
-                        "org": att.org_id,
-                        # An org-level share is labelled with its organization;
-                        # org and sub-unit ids share one registry.
-                        "subunit": att.subunit_id or att.org_id,
-                    },
-                )
-                for att in rec.attributions
-            ]
-        else:
-            shares = [(1.0, 1, {})]
+    jrates = per_pair(cols.year, cols.journal, len(journals),
+                      lambda y, j: _or_nan(benchmarks.jxcr.expected, years[y], journals[j]), float)
+    is_top = per_pair(cols.journal, cols.fields, len(field_tuples),
+                      lambda j, t: top_set.is_top_for(journals[j], field_tuples[t]), bool)
+    with np.errstate(over="ignore"):
+        cjx = (cols.citations / jrates)[rec]
+    valid = ~np.isnan(ratio)
+    first = np.concatenate(([True], rec[1:] != rec[:-1]))
+    first[starts] = True
+    top = is_top[rec] & valid
+    top_cjx = top & ~np.isnan(cjx)
+    del jrates, is_top
 
-        try:
-            cjx = journal_standardized_impact(rec, jxcr)
-        except BenchmarkError:
-            cjx = None
-        is_top = top_set.is_top_for(rec.journal_id, rec.field_ids)
+    def total(x, dtype=None) -> list:
+        return np.add.reduceat(x, starts, dtype=dtype).tolist()
 
-        touched: set[tuple] = set()
-        for ctx_vals, field_ids in contexts:
-            cell = (rec.year, field_ids)
-            if cell not in mean_rates:
-                try:
-                    mean_rates[cell] = _mean_expected_rate(rec.year, field_ids, xcr)
-                except BenchmarkError:
-                    mean_rates[cell] = None
-            rate = mean_rates[cell]
-            ratio = None if rate is None else rec.citations / rate
-            for share, w, org_vals in shares:
-                key = _group_key(keys, rec, ctx_vals, org_vals)
-                acc = accs.get(key)
-                if acc is None:
-                    acc = accs[key] = _Acc(with_top_decile)
-                # The key fixes the context, so a record's touches of one key share one ratio.
-                if key not in touched:
-                    touched.add(key)
-                    if ratio is None:
-                        acc.n_excluded += 1
-                    else:
-                        acc.n_pubs += 1
-                        if acc.scored is not None:
-                            acc.scored.append((ratio, rec.id))
-                if ratio is None:
-                    continue
-                acc.weight += w
-                acc.cit += w * rec.citations
-                acc.wr_parts.append(share * ratio)
-                if is_top:
-                    acc.top += w
-                    if cjx is not None:
-                        acc.cjx += w
-                        acc.wcjx_parts.append(share * cjx)
+    dtype = exact_dtype(scale * max(1, int(cols.citations.max())) * len(rec))
+    weight = np.where(valid, np.array([w for _, w, _ in shares], dtype)[sid], 0)
+    sums = (
+        total(weight), total(weight * cols.citations[rec].astype(dtype, copy=False)),
+        total(np.where(top, weight, 0)), total(np.where(top_cjx, weight, 0)),
+        total(first & valid, np.int64), total(first & ~valid, np.int64),
+    )
+    del weight
+    share = np.array([s for s, _, _ in shares])[sid]
+    with np.errstate(over="ignore"):
+        wcjx_parts = share * cjx
+        wr_parts = np.multiply(share, ratio, out=share)
+    wcjx_parts[~top_cjx] = 0.0
+    wr_parts[~valid] = 0.0
+    del top, top_cjx, cjx
+    if with_top_decile:
+        # Each group's first-touch ratios, largest first; ties do not change
+        # the multiset of the k largest.
+        scored = np.flatnonzero(first & valid)
+        group = np.repeat(np.arange(len(starts)), ends - starts)[scored]
+        best = ratio[scored][np.lexsort((-ratio[scored], group))]
+        best_start = np.searchsorted(group, np.arange(len(starts)))
+        del scored, group
 
     rows = []
-    for key in sorted(accs, key=_key_sort):
-        acc = accs[key]
-        if acc.weight == 0:
+    for g, (start, end, w, cit, top_w, cjx_w, n_pubs, n_excluded) in enumerate(
+        zip(starts.tolist(), ends.tolist(), *sums)
+    ):
+        if w == 0:
             continue
-        weight_exact = Fraction(acc.weight, scale)
+        r = rec[start]
+        values = {"nation": "all", "year": years[cols.year[r]], "doc_type": cols.doc_types[cols.doc_type[r]].value,
+                  **contexts[group_ctx[g]][1], **shares[sid[start]][2]}
+        weight_exact = Fraction(w, scale)
+        top_decile = None
+        if with_top_decile:
+            k = math.ceil(0.10 * n_pubs)
+            top_decile = math.fsum(best[best_start[g]:best_start[g] + k].tolist()) / k
         rows.append(
             IndicatorRow(
-                entity=key,
+                entity=tuple((k, values[k]) for k in keys),
                 weight=float(weight_exact),
                 weight_exact=weight_exact,
-                n_pubs=acc.n_pubs,
-                n_excluded=acc.n_excluded,
-                mean_cx=math.fsum(acc.wr_parts) / float(weight_exact),
-                mean_citations=float(Fraction(acc.cit, acc.weight)),
-                top_share_pct=100.0 * float(Fraction(acc.top, acc.weight)),
-                mean_cjx=math.fsum(acc.wcjx_parts) / float(Fraction(acc.cjx, scale)) if acc.cjx else None,
-                top_decile_mean_cx=top_decile_mean(acc.scored)[1] if acc.scored else None,
+                n_pubs=n_pubs,
+                n_excluded=n_excluded,
+                mean_cx=math.fsum(wr_parts[start:end].tolist()) / float(weight_exact),
+                mean_citations=float(Fraction(cit, w)),
+                top_share_pct=100.0 * float(Fraction(top_w, w)),
+                mean_cjx=math.fsum(wcjx_parts[start:end].tolist()) / float(Fraction(cjx_w, scale)) if cjx_w else None,
+                top_decile_mean_cx=top_decile,
             )
         )
+    rows.sort(key=lambda row: _key_sort(row.entity))
     return rows
 
 
-def _group_key(keys, rec, ctx_vals, org_vals) -> tuple:
-    parts = []
-    for k in keys:
-        if k == "nation":
-            parts.append((k, "all"))
-        elif k == "year":
-            parts.append((k, rec.year))
-        elif k == "doc_type":
-            parts.append((k, rec.doc_type.value))
-        elif k in ("field", "discipline"):
-            parts.append((k, ctx_vals[k]))
-        else:
-            parts.append((k, org_vals[k]))
-    return tuple(parts)
+def _combine(code: np.ndarray, span: int, label: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
+    """`code * radix + label` and its span; `code` is first made dense when the
+    product of the spans could pass int64."""
+    if span * radix >= 2**63:
+        distinct, code = np.unique(code, return_inverse=True)
+        code, span = code.reshape(-1), len(distinct)
+    code *= radix
+    code += label
+    return code, span * radix
+
+
+def _or_nan(expected, *args) -> float:
+    """An expected rate, or NaN when its benchmark cell is missing or degenerate."""
+    try:
+        return expected(*args)
+    except BenchmarkError:
+        return math.nan
 
 
 def _key_sort(key: tuple) -> tuple:

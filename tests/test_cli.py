@@ -269,6 +269,56 @@ class TestBadInputDiagnostics:
         assert code == 2
         assert err == ["usage error: invalid value for threads: 'abc'"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["indicators", "--slice", "nation"],
+            ["indicators", "--slice", "org"],
+            ["rank", "--out", "-"],
+            ["trend", "--slice", "discipline"],
+            ["trend", "--slice", "org"],
+            ["reconcile"],
+        ],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_fail_before_any_input(self, tiny_corpus_files, capsys, monkeypatch, argv, threads):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        monkeypatch.setattr(cli, "compile_rules", no_input)
+        out = tiny_corpus_files["dir"] / "out"
+        code, err = self.run(
+            [argv[0], *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["dir"] / "nonexistent.tsv"),
+             *argv[1:], "--threads", threads, "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err == ["usage error: --threads must be >= 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["indicators", "trend"])
+    @pytest.mark.parametrize("rules", ["rules.tsv", "nonexistent.tsv"])
+    def test_rules_on_non_org_slice_warn_and_change_nothing(self, tiny_corpus_files, capsys, command, rules):
+        files = tiny_corpus_files
+        plain, with_rules = files["dir"] / "plain", files["dir"] / "with_rules"
+        assert dispatch([command, *args_corpus(files), "--slice", "nation", "--out-dir", str(plain)]) == 0
+        plain_err = capsys.readouterr().err.splitlines()
+        code, err = self.run(
+            [command, *args_corpus(files), "--slice", "nation", "--rules", str(files["dir"] / rules),
+             "--threads", "2", "--out-dir", str(with_rules)],
+            capsys,
+        )
+        assert code == 0
+        warnings = [line for line in err if line.startswith("warning:")]
+        assert warnings == ["warning: --rules ignored: slice 'nation' has no organizational key"]
+        assert [line for line in err if not line.startswith("warning:")] == [
+            line.replace(str(plain), str(with_rules)) for line in plain_err
+        ]
+        assert sorted(p.name for p in with_rules.iterdir()) == sorted(p.name for p in plain.iterdir())
+        for path in plain.iterdir():
+            assert (with_rules / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_config_limit_not_an_integer(self, tiny_corpus_files, capsys):
         config = self.write(tiny_corpus_files, "run.json", json.dumps({"limit": "x"}))
         code, err = self.run(

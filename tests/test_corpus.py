@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fieldimpact.corpus import (
     Attribution,
+    CorpusError,
     CorpusValidationError,
     DocType,
     census_citations,
@@ -303,6 +304,14 @@ class TestCensusCitations:
         result = census_citations(17, None)
         assert result.count == 17
         assert result.warnings == ()
+
+    @pytest.mark.parametrize("count", [2**53, 2**53 + 1, 10**30])
+    def test_precomputed_count_beyond_float_precision(self, count):
+        with pytest.raises(CorpusError, match=r"^citations must be below 2\*\*53$"):
+            census_citations(count, None)
+
+    def test_precomputed_count_below_float_precision(self):
+        assert census_citations(2**53 - 1, None).count == 2**53 - 1
 
     def test_event_before_publication_year_warned_but_counted(self):
         result = census_citations(["2000-05-01"], "2009-06-30", publication_year=2003)

@@ -208,6 +208,11 @@ class TestAggregate:
         bm = tables({(2003, "F1"): 1.0})
         assert aggregate(corpus, ("nation",), bm, NO_TOP) == []
 
+    @pytest.mark.parametrize("keys", [("nation",), ("org",), ("field", "year"), ("discipline", "doc_type")])
+    def test_empty_corpus_gives_no_rows(self, keys):
+        corpus = mk_corpus([], journals=[("J1", "Journal One", 1.0, ["F1"])], scheme={"F1": "Physics"})
+        assert aggregate(corpus, keys, tables({(2003, "F1"): 1.0}), NO_TOP, with_top_decile=True) == []
+
     def test_mean_cjx_only_over_top_journal_members(self):
         pubs = [
             pub("p1", journal="JTOP", citations=4),

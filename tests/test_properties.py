@@ -1,6 +1,6 @@
 """Property tests over reconciliation, organizational slices, record
-order, benchmark CSV round trips and `aggregate` against a brute-force
-oracle.
+order, benchmark CSV round trips, and `aggregate` and the benchmark
+tables against brute-force oracles.
 
 Worlds are small: a handful of records whose addresses mix org-level,
 sub-unit and unmatched phrases, matched by a fixed rule file.
@@ -20,9 +20,12 @@ from fieldimpact.benchmarks import (
     TopJournalSet,
     classify_top_journals,
     compute_benchmarks,
+    compute_jxcr,
+    compute_xcr,
     export_benchmark_csv,
     load_benchmark_csv,
 )
+from fieldimpact.columns import record_columns
 from fieldimpact.corpus import parse_corpus, write_publications_jsonl
 from fieldimpact.indicators import IndicatorRow, aggregate, write_indicator_csv, write_indicator_json
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
@@ -173,9 +176,9 @@ def test_benchmark_csv_round_trip_is_exact(kind, cells):
 
 
 # Differential test of `aggregate` against a brute-force oracle: multi-field
-# records over two disciplines, sub-unit shares of 1/2, 1/3 and 1/6,
-# unattributed records, and an xcr table missing one cell with another
-# degenerate. J3 is a top journal without a jxcr cell.
+# records over two disciplines and three document types, sub-unit shares of
+# 1/2, 1/3 and 1/6, unattributed records, and an xcr table missing one cell
+# with another degenerate. J3 is a top journal without a jxcr cell.
 
 TARGETS = (("A", None), ("A", "A_L1"), ("A", "A_L2"), ("B", None), ("B", "B_S"), ("C", None))
 SPLITS = ((), ("1",), ("1/2", "1/2"), ("1/3", "1/3", "1/3"), ("1/2", "1/3", "1/6"))
@@ -184,6 +187,7 @@ DIFF_TOP = TopJournalSet({"F1": frozenset({"J1"}), "F2": frozenset({"J3"}), "F3"
 DIFF_SLICES = (
     ("nation",), ("org",), ("org_type",), ("subunit",),
     ("org", "field"), ("org_type", "discipline"), ("discipline", "year"),
+    ("year",), ("doc_type",), ("field",), ("field", "year"), ("org", "doc_type"), ("subunit", "year"),
 )
 XCR_CELLS = [(y, f) for y in YEARS for f in sorted(SCHEME)]
 
@@ -198,6 +202,7 @@ def attributed_pubs(draw):
         pubs.append(pub(
             f"p{i:02d}",
             year=draw(st.sampled_from(YEARS)),
+            doc_type=draw(st.sampled_from(("article", "review", "proceedings"))),
             journal=draw(st.sampled_from(("J1", "J2", "J3"))),
             fields=draw(st.lists(st.sampled_from(sorted(SCHEME)), min_size=1, max_size=3, unique=True)),
             citations=draw(st.integers(min_value=0, max_value=20)),
@@ -300,3 +305,81 @@ def test_aggregate_matches_brute_force_oracle(pubs, tables):
     for keys in DIFF_SLICES:
         rows = aggregate(corpus, keys, tables, DIFF_TOP, with_top_decile=True)
         assert rows == aggregate_oracle(corpus, keys, tables, DIFF_TOP), keys
+
+
+FULL_TABLES = BenchmarkTables(
+    CitationBenchmarkTable("field", {c: BenchmarkCell(1, 3.0) for c in XCR_CELLS}),
+    CitationBenchmarkTable("journal", {(y, j): BenchmarkCell(1, 2.0) for y in YEARS for j in ("J1", "J2", "J3")}),
+)
+
+
+def test_aggregate_exact_sums_beyond_int64_match_oracle():
+    # Shares of 1/2 and 1/3 to A and its lab, 1/6 to B: on the org slice A's
+    # citation numerator over the lcm 6 is 256 * 5 * (2**53 - 1), past 2**63.
+    big = 2**53 - 1
+    split = [att("A", "1/2"), att("A", "1/3", "A_L1"), att("B", "1/6", "B_S")]
+    pubs = [
+        pub(f"p{i:03d}", year=YEARS[i % 2], journal=("J1", "J2", "J3")[i % 3],
+            fields=(["F1"], ["F1", "F3"], ["F2", "F3"])[i % 3], citations=big, attributions=split)
+        for i in range(256)
+    ]
+    corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
+    org_a = aggregate(corpus, ("org",), FULL_TABLES, DIFF_TOP)[0]
+    assert org_a.entity == (("org", "A"),) and org_a.weight_exact * 6 * big >= 2**63
+    for keys in DIFF_SLICES:
+        rows = aggregate(corpus, keys, FULL_TABLES, DIFF_TOP, with_top_decile=True)
+        assert rows == aggregate_oracle(corpus, keys, FULL_TABLES, DIFF_TOP), keys
+
+
+@given(records)
+@settings(max_examples=40, deadline=None)
+def test_reconciled_corpus_gets_its_own_columns(drawn):
+    pubs = [
+        pub(f"p{i:02d}", year=year, fields=fields, citations=cites, addresses=addresses)
+        for i, (year, fields, cites, addresses) in enumerate(drawn)
+    ]
+    corpus = mk_corpus(pubs, journals=JOURNALS, orgs=ORGS, scheme=SCHEME)
+    before = record_columns(corpus)
+    assert aggregate(corpus, ("org",), TABLES, NO_TOP) == []
+    result = reconcile_corpus(corpus, compile_rules(io.StringIO(RULES), corpus.organizations)).corpus
+    assert record_columns(corpus) is before
+    for keys in ORG_SLICES:
+        rows = aggregate(result, keys, TABLES, NO_TOP, with_top_decile=True)
+        assert rows == aggregate_oracle(result, keys, TABLES, NO_TOP), keys
+    assert record_columns(result) is not before
+
+
+def benchmark_oracle(corpus):
+    """(year, field) and (year, journal) cells by brute force: count and
+    `Fraction` mean of the citations, each as (n, mean.hex())."""
+    fields, journals = {}, {}
+    for rec in corpus.records:
+        for f in rec.field_ids:
+            fields.setdefault((rec.year, f), []).append(rec.citations)
+        journals.setdefault((rec.year, rec.journal_id), []).append(rec.citations)
+    return tuple(
+        {k: (len(v), float(Fraction(sum(v), len(v))).hex()) for k, v in cells.items()} for cells in (fields, journals)
+    )
+
+
+def cells_of(table):
+    return {k: (c.n, c.mean.hex()) for k, c in table.cells.items()}
+
+
+@given(attributed_pubs())
+@settings(max_examples=100, deadline=None)
+def test_benchmarks_match_fraction_oracle(pubs):
+    corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
+    assert (cells_of(compute_xcr(corpus)), cells_of(compute_jxcr(corpus))) == benchmark_oracle(corpus)
+
+
+def test_benchmark_totals_beyond_int64_match_fraction_oracle():
+    # 1,100 counts of 2**53 - 1 in the (2001, F1) and (2001, J1) cells total past 2**63.
+    big = 2**53 - 1
+    pubs = [pub(f"p{i:04d}", year=2001, fields=["F1", "F3"] if i % 2 else ["F1"], citations=big - i % 3)
+            for i in range(1100)]
+    pubs += [pub("q1", year=2002, journal="J2", fields=["F2", "F1"], citations=7),
+             pub("q2", year=2002, journal="J2", fields=["F2"], citations=4)]
+    corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
+    assert sum(rec.citations for rec in corpus.records if rec.year == 2001) >= 2**63
+    assert (cells_of(compute_xcr(corpus)), cells_of(compute_jxcr(corpus))) == benchmark_oracle(corpus)
