@@ -125,7 +125,6 @@ class TopJournalSet:
     """
 
     by_field: Mapping[str, frozenset[str]]
-    fraction: float
 
     def is_top_in(self, field_id: str, journal_id: str) -> bool:
         return journal_id in self.by_field.get(field_id, frozenset())
@@ -164,7 +163,7 @@ def classify_top_journals(
         k = math.ceil(fraction * len(members))
         boundary = members[k - 1].impact_factor
         by_field[field_id] = frozenset(j.id for j in members if j.impact_factor >= boundary)
-    return TopJournalSet(by_field, fraction)
+    return TopJournalSet(by_field)
 
 
 # CSV import/export. Means are written as repr and round-trip at full
@@ -218,7 +217,7 @@ def export_top_journals_csv(top_set: TopJournalSet, destination: str | Path | IO
     emit(Table(("field_id", "journal_id"), rows), "csv", destination)
 
 
-def load_top_journals_csv(source: str | Path | IO[str], fraction: float = 0.10) -> TopJournalSet:
+def load_top_journals_csv(source: str | Path | IO[str]) -> TopJournalSet:
     by_field: dict[str, set[str]] = {}
     for lineno, row in _read_csv(source, ("field_id", "journal_id"), "top-journal CSV", BenchmarkError):
         if len(row) != 2:
@@ -227,4 +226,4 @@ def load_top_journals_csv(source: str | Path | IO[str], fraction: float = 0.10) 
         if not field_id or not journal_id:
             raise BenchmarkError(f"top-journal CSV line {lineno}: empty field_id or journal_id")
         by_field.setdefault(field_id, set()).add(journal_id)
-    return TopJournalSet({f: frozenset(js) for f, js in by_field.items()}, fraction)
+    return TopJournalSet({f: frozenset(js) for f, js in by_field.items()})

@@ -78,6 +78,10 @@ def dispatch(argv: list[str]) -> int:
         if not isinstance(config, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             return 2
+        unknown = sorted(set(config) - _option_dests(parser))
+        if unknown:
+            print(f"usage error: unknown config key(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
+            return 2
     try:
         return args.handler(args, config)
     except UsageError as exc:
@@ -184,6 +188,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_dests(parser: argparse.ArgumentParser) -> set[str]:
+    """The keys a config may set: every option of every subcommand, so one
+    config can serve a whole chain."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings} - {"help"}
+
+
 def _finite(value) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -287,6 +298,10 @@ def _analysis_inputs(args, config, keys: tuple[str, ...]):
     organizational = any(k in _ORG_KEYS for k in keys)
     if rules_path and not organizational:
         print(f"warning: --rules ignored: slice {','.join(keys)!r} has no organizational key", file=sys.stderr)
+    top_csv = _opt(args, config, "top_csv")
+    fraction = _fraction(args, config)
+    if top_csv and _opt(args, config, "fraction") is not None:
+        print("warning: --fraction ignored: --top-csv given", file=sys.stderr)
     corpus = _load_corpus(args, config)
     if organizational:
         if rules_path:
@@ -295,12 +310,10 @@ def _analysis_inputs(args, config, keys: tuple[str, ...]):
             raise UsageError("organizational analysis needs --rules or records with attributions")
     xcr_csv = _opt(args, config, "xcr_csv")
     jxcr_csv = _opt(args, config, "jxcr_csv")
-    top_csv = _opt(args, config, "top_csv")
-    fraction = _fraction(args, config)
     xcr = load_benchmark_csv(_in_path(xcr_csv, "--xcr-csv"), "field") if xcr_csv else compute_xcr(corpus)
     jxcr = load_benchmark_csv(_in_path(jxcr_csv, "--jxcr-csv"), "journal") if jxcr_csv else compute_jxcr(corpus)
     if top_csv:
-        top_set = load_top_journals_csv(_in_path(top_csv, "--top-csv"), fraction)
+        top_set = load_top_journals_csv(_in_path(top_csv, "--top-csv"))
     else:
         top_set = classify_top_journals(corpus.journals, corpus.field_scheme, fraction)
     return corpus, BenchmarkTables(xcr, jxcr), top_set
@@ -388,11 +401,15 @@ def _cmd_rank(args, config) -> int:
 
     keys = (group_by, within[0]) if within else (group_by,)
     corpus, benchmarks, top_set = _analysis_inputs(args, config, keys)
+    scheme = corpus.field_scheme
+    if within and within[1] not in (scheme.field_to_discipline.values() if discipline else scheme):
+        raise UsageError(f"--{within[0]} {within[1]!r} is not a {within[0]} of the field scheme")
     rows = aggregate(
         corpus, keys, benchmarks, top_set, with_top_decile=metric == "top_decile_mean_cx"
     )
     if within:
-        rows = _filter_entity(rows, *within)
+        # The within key is the slice's last: keep its value's rows, without it.
+        rows = [dataclasses.replace(row, entity=row.entity[:-1]) for row in rows if row.entity[-1][1] == within[1]]
 
     table = rank(rows, spec)
     out_opt = _opt(args, config, "out")
@@ -405,19 +422,6 @@ def _cmd_rank(args, config) -> int:
         emit(table, fmt, destination)
         print(f"wrote {destination} ({len(table.rows)} rows)", file=sys.stderr)
     return 0
-
-
-def _filter_entity(rows, key, value):
-    kept = []
-    for row in rows:
-        entity = dict(row.entity)
-        if str(entity.get(key)) == value:
-            kept.append(
-                dataclasses.replace(
-                    row, entity=tuple(kv for kv in row.entity if kv[0] != key)
-                )
-            )
-    return kept
 
 
 def _cmd_trend(args, config) -> int:

@@ -22,8 +22,8 @@ by one stable sort and reduces each group. Its exactness contract:
 - exact sums (weights, weighted citations, top-journal weights) are
   int64 numerators over the lcm, or Python ints when
   lcm * max(citations) * rows could reach 2**63;
-- the top-decile mean is the `fsum` of a group's k largest ratios, a
-  multiset that ties do not change.
+- the top-decile mean is the `fsum` of a group's k = ceil(0.10 * n_pubs)
+  largest first-touch ratios, over k: a multiset that ties do not change.
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ def aggregate(
 
     Exact sums are integer numerators over the lcm of the call's weight
     denominators (1 on non-organizational slices).
+
+    Rows are ordered by entity, key by key in slice order: integer values
+    (years) numerically, all others as strings. Callers may rely on that
+    order; rows that agree on all but the last key are adjacent.
     """
     keys = _validate_slice(slice_spec)
     cols = record_columns(corpus)
@@ -284,7 +288,7 @@ def aggregate(
                 top_decile_mean_cx=top_decile,
             )
         )
-    rows.sort(key=lambda row: _key_sort(row.entity))
+    rows.sort(key=lambda row: tuple((k, (0, v) if isinstance(v, int) else (1, str(v))) for k, v in row.entity))
     return rows
 
 
@@ -307,36 +311,14 @@ def _or_nan(expected, *args) -> float:
         return math.nan
 
 
-def _key_sort(key: tuple) -> tuple:
-    return tuple((k, (0, v) if isinstance(v, int) else (1, str(v))) for k, v in key)
-
-
-def top_decile_mean(scored: Sequence[tuple[float, str]], fraction: float = 0.10) -> tuple[list[tuple[float, str]], float]:
-    """Top ceil(fraction*n) of (ratio, id) pairs by ratio, and their mean."""
-    if not scored:
-        raise IndicatorError("no scored publications")
-    if not 0 < fraction <= 1:
-        raise IndicatorError(f"fraction must be in (0, 1], got {fraction}")
-    ordered = sorted(scored, key=lambda item: (-item[0], item[1]))
-    k = math.ceil(fraction * len(ordered))
-    subset = ordered[:k]
-    return subset, math.fsum(r for r, _ in subset) / k
-
-
 # Concentration of organization types across disciplines.
 
 
-@dataclass(frozen=True, slots=True)
-class ConcentrationIndex:
-    org_type: OrgType
-    discipline: str
-    value: float
-
-
 def concentration_index_from_shares(
-    group_share_in_discipline: float, group_overall_share: float
-) -> float:
-    """Ratio of a group's within-discipline share to its overall share."""
+    group_share_in_discipline: float | Fraction, group_overall_share: float | Fraction
+) -> float | Fraction:
+    """Ratio of a group's within-discipline share to its overall share; exact
+    `Fraction` shares give an exact `Fraction`."""
     if group_overall_share <= 0:
         raise IndicatorError("group overall share must be positive")
     if group_share_in_discipline < 0:
@@ -375,33 +357,26 @@ def concentration_index(corpus: Corpus, org_type: OrgType | str, discipline: str
     """Within-discipline output share of an org type over its overall share."""
     if isinstance(org_type, str):
         org_type = OrgType(org_type)
-    weights = org_type_discipline_weights(corpus)
-    _, w_d, w_t, _ = weights
-    if w_d.get(discipline, Fraction(0)) == 0:
-        raise IndicatorError(f"discipline {discipline!r} has no attributed publications")
-    if w_t.get(org_type, Fraction(0)) == 0:
+    table = concentration_table(corpus)
+    if (org_type, discipline) not in table:
+        if all(d != discipline for _, d in table):
+            raise IndicatorError(f"discipline {discipline!r} has no attributed publications")
         raise IndicatorError(f"org type {org_type.value} has no attributed publications")
-    return _concentration(weights, org_type, discipline)
+    return table[(org_type, discipline)]
 
 
-def concentration_table(corpus: Corpus) -> list[ConcentrationIndex]:
-    """Concentration index for every (org_type, discipline) with output."""
-    weights = org_type_discipline_weights(corpus)
-    _, w_d, w_t, _ = weights
-    return [
-        ConcentrationIndex(org_type, d, _concentration(weights, org_type, d))
+def concentration_table(corpus: Corpus) -> dict[tuple[OrgType, str], float]:
+    """Concentration index for every (org_type, discipline) with output, from
+    the exact shares of org_type_discipline_weights, rounded to float once."""
+    w_td, w_d, w_t, total = org_type_discipline_weights(corpus)
+    return {
+        (org_type, d): float(concentration_index_from_shares(
+            w_td.get((org_type, d), Fraction(0)) / w_d[d], w_t[org_type] / total
+        ))
         for d in sorted(w_d)
         for org_type in OrgType
         if w_t.get(org_type, Fraction(0)) != 0
-    ]
-
-
-def _concentration(weights, org_type: OrgType, discipline: str) -> float:
-    """Exact within-discipline share over overall share, from the weights of
-    org_type_discipline_weights; the discipline and org-type totals must be nonzero."""
-    w_td, w_d, w_t, total = weights
-    share_in_discipline = w_td.get((org_type, discipline), Fraction(0)) / w_d[discipline]
-    return float(share_in_discipline / (w_t[org_type] / total))
+    }
 
 
 # Delimited output: fixed 4-decimal CSV plus a full-precision JSON mirror.

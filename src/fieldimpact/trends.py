@@ -49,24 +49,20 @@ def annual_series(
     benchmarks: BenchmarkTables,
     top_set: TopJournalSet,
 ) -> list[AnnualSeries]:
-    """One indicator row per (entity, year); entities ordered deterministically.
+    """One indicator row per (entity, year), in `aggregate`'s entity order.
 
     The year key is appended internally and must not appear in slice_spec.
     """
     keys = tuple(slice_spec)
     if "year" in keys:
         raise GrowthError("slice_spec must not include 'year'; it is added internally")
-    rows = aggregate(corpus, keys + ("year",), benchmarks, top_set)
+    # aggregate orders rows by entity, then by year (the last key), so each
+    # entity's points arrive together and in year order.
     grouped: dict[tuple, list[tuple[int, IndicatorRow]]] = {}
-    for row in rows:
-        entity = tuple(kv for kv in row.entity if kv[0] != "year")
-        year = dict(row.entity)["year"]
-        grouped.setdefault(entity, []).append((int(year), row))
-    series = []
-    for entity in sorted(grouped, key=lambda e: tuple(str(v) for _, v in e)):
-        points = tuple(sorted(grouped[entity], key=lambda p: p[0]))
-        series.append(AnnualSeries(entity=entity, points=points))
-    return series
+    for row in aggregate(corpus, keys + ("year",), benchmarks, top_set):
+        *entity, (_, year) = row.entity
+        grouped.setdefault(tuple(entity), []).append((year, row))
+    return [AnnualSeries(entity, tuple(points)) for entity, points in grouped.items()]
 
 
 def avg_annual_increase(series_values: Sequence[float]) -> float:

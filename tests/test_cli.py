@@ -319,6 +319,62 @@ class TestBadInputDiagnostics:
         for path in plain.iterdir():
             assert (with_rules / path.name).read_bytes() == path.read_bytes(), path.name
 
+    @pytest.mark.parametrize("flag, value, kind", [("--discipline", "Phisics", "discipline"),
+                                                   ("--field", "F9", "field")])
+    def test_rank_within_value_not_in_field_scheme(self, tiny_corpus_files, tmp_path, capsys, flag, value, kind):
+        out = tmp_path / "r"
+        code, err = self.run(
+            ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+             "--min-weight", "0", flag, value, "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err == [f"usage error: {flag} {value!r} is not a {kind} of the field scheme"]
+        assert not out.exists()
+
+    def test_unknown_config_key_fails_before_any_input(self, tiny_corpus_files, capsys, monkeypatch):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        path = self.write(tiny_corpus_files, "run.json", json.dumps({"min_wieght": 5, "zz": 1, "limit": 3}))
+        code, err = self.run(
+            ["rank", *args_corpus(tiny_corpus_files), "--config", str(path), "--out", "-"], capsys
+        )
+        assert code == 2
+        assert err == ["usage error: unknown config key(s): 'min_wieght', 'zz'"]
+
+    def test_config_keys_of_other_subcommands_accepted(self, tiny_corpus_files, capsys):
+        # One config serves a whole chain: `rules` and `slice_spec` belong to
+        # other subcommands of the same run, `spec` and `seed` to none of validate's.
+        path = self.write(tiny_corpus_files, "run.json", json.dumps(
+            {"rules": str(tiny_corpus_files["rules"]), "slice_spec": "org", "spec": "x", "seed": 3}
+        ))
+        code, err = self.run(["validate", *args_corpus(tiny_corpus_files), "--config", str(path)], capsys)
+        assert code == 0 and err == []
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_fraction_with_top_csv_warns(self, tiny_corpus_files, tmp_path, capsys, via_config):
+        files = tiny_corpus_files
+        bench = tmp_path / "bench"
+        assert dispatch(["benchmark", *args_corpus(files), "--out-dir", str(bench)]) == 0
+        capsys.readouterr()
+        base = ["rank", *args_corpus(files), "--rules", str(files["rules"]), "--min-weight", "0",
+                "--top-csv", str(bench / "top_journals.csv"), "--out", "-"]
+        plain_code = dispatch(base)
+        plain = capsys.readouterr()
+        if via_config:
+            extra = ["--config", str(self.write(files, "run.json", json.dumps({"fraction": 0.9})))]
+        else:
+            extra = ["--fraction", "0.9"]
+        code = dispatch(base + extra)
+        warned = capsys.readouterr()
+        assert code == plain_code == 0
+        assert warned.out == plain.out
+        err = warned.err.splitlines()
+        assert err[0] == "warning: --fraction ignored: --top-csv given"
+        assert err[1:] == plain.err.splitlines()
+
     def test_config_limit_not_an_integer(self, tiny_corpus_files, capsys):
         config = self.write(tiny_corpus_files, "run.json", json.dumps({"limit": "x"}))
         code, err = self.run(

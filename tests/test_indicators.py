@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fieldimpact.benchmarks import (
@@ -18,6 +19,7 @@ from fieldimpact.benchmarks import (
 from fieldimpact.corpus import DocType, OrgType, PublicationRecord
 from fieldimpact.indicators import (
     IndicatorError,
+    _combine,
     aggregate,
     concentration_index,
     concentration_index_from_shares,
@@ -25,7 +27,6 @@ from fieldimpact.indicators import (
     journal_standardized_impact,
     org_type_discipline_weights,
     standardized_impact,
-    top_decile_mean,
     write_indicator_csv,
     write_indicator_json,
 )
@@ -56,7 +57,7 @@ def tables(xcr_cells, jxcr_cells=None) -> BenchmarkTables:
     return BenchmarkTables(xcr_table(xcr_cells), jxcr_table(jxcr_cells or {}))
 
 
-NO_TOP = TopJournalSet({}, 0.10)
+NO_TOP = TopJournalSet({})
 
 
 class TestStandardizedImpact:
@@ -116,7 +117,7 @@ class TestAggregate:
         pubs = [pub(f"p{i}", journal="JTOP" if i == 0 else "JPLAIN") for i in range(10)]
         corpus = mk_corpus(pubs)
         bm = tables({(2003, "F1"): 1.0})
-        top = TopJournalSet({"F1": frozenset({"JTOP"})}, 0.10)
+        top = TopJournalSet({"F1": frozenset({"JTOP"})})
         rows = aggregate(corpus, ("nation",), bm, top)
         assert rows[0].top_share_pct == pytest.approx(10.0)
 
@@ -220,7 +221,7 @@ class TestAggregate:
         ]
         corpus = mk_corpus(pubs)
         bm = tables({(2003, "F1"): 4.0}, {(2003, "JTOP"): 2.0, (2003, "JPLAIN"): 8.0})
-        top = TopJournalSet({"F1": frozenset({"JTOP"})}, 0.10)
+        top = TopJournalSet({"F1": frozenset({"JTOP"})})
         row = aggregate(corpus, ("nation",), bm, top)[0]
         assert row.mean_cjx == pytest.approx(4 / 2.0)
         no_top_row = aggregate(corpus, ("nation",), bm, NO_TOP)[0]
@@ -354,7 +355,7 @@ class TestConcentration:
         assert concentration_index(corpus, "H", "Physics") == 0.0
 
     def test_unknown_discipline_rejected(self):
-        with pytest.raises(IndicatorError):
+        with pytest.raises(IndicatorError, match="discipline 'Chemistry' has no attributed publications"):
             concentration_index(self.corpus_three_types(), "U", "Chemistry")
 
     def test_closure_sums_to_one_exactly(self):
@@ -369,54 +370,78 @@ class TestConcentration:
             assert acc == 1
 
     def test_concentration_table_covers_active_pairs(self):
-        rows = concentration_table(self.corpus_three_types())
-        assert {(r.org_type.value, r.discipline) for r in rows} == {
+        table = concentration_table(self.corpus_three_types())
+        assert {(t.value, d) for t, d in table} == {
             (t, d) for t in ("U", "RI", "H") for d in ("Physics", "Biology")
         }
 
+    def test_concentration_table_rounds_exact_shares_once(self):
+        corpus = self.corpus_three_types()
+        w_td, w_d, w_t, total = org_type_discipline_weights(corpus)
+        for (org_type, d), value in concentration_table(corpus).items():
+            share = w_td.get((org_type, d), Fraction(0)) / w_d[d]
+            exact = concentration_index_from_shares(share, w_t[org_type] / total)
+            assert isinstance(exact, Fraction)
+            assert value == float(exact) == concentration_index(corpus, org_type, d)
+
+    def test_org_type_without_output_rejected(self):
+        corpus = mk_corpus(
+            [pub("p1", attributions=[att("U1")])],
+            orgs=[("U1", "u", "U", None), ("H1", "h", "H", None)],
+        )
+        with pytest.raises(IndicatorError, match="org type H has no attributed publications"):
+            concentration_index(corpus, "H", "Physics")
+
 
 class TestTopDecile:
-    def scored(self, ratios):
-        return [(r, f"p{i:02d}") for i, r in enumerate(ratios)]
+    """The one top-decile definition: `aggregate(..., with_top_decile=True)`."""
 
-    def test_ten_ratios_takes_best_one(self):
-        ratios = [round(0.1 * i, 1) for i in range(1, 11)]
-        subset, mean = top_decile_mean(self.scored(ratios))
-        assert [r for r, _ in subset] == [1.0]
-        assert mean == 1.0
-
-    def test_single_publication(self):
-        subset, mean = top_decile_mean(self.scored([0.7]))
-        assert len(subset) == 1
-        assert mean == 0.7
-
-    def test_constant_ratios_any_fraction(self):
-        for fraction in (0.1, 0.35, 1.0):
-            _, mean = top_decile_mean(self.scored([0.4] * 7), fraction)
-            assert mean == pytest.approx(0.4)
-
-    def test_tie_break_by_publication_id(self):
-        scored = [(2.0, "pB"), (2.0, "pA"), (1.0, "pC")]
-        subset, _ = top_decile_mean(scored, 0.34)
-        assert [pid for _, pid in subset] == ["pA", "pB"]
+    def nation_row(self, citations, rate):
+        corpus = mk_corpus([pub(f"p{i:02d}", citations=c) for i, c in enumerate(citations)])
+        [row] = aggregate(corpus, ("nation",), tables({(2003, "F1"): rate}), NO_TOP, with_top_decile=True)
+        return row
 
     def test_ceil_oracle_over_sizes(self):
-        # Enumeration oracle: mean of the k=ceil(f*n) largest values.
+        # Enumeration oracle: mean of the k=ceil(0.1*n) largest ratios.
         for n in (1, 2, 9, 10, 11, 25):
-            ratios = [((i * 13) % n) / max(n - 1, 1) for i in range(n)]
-            subset, mean = top_decile_mean(self.scored(ratios))
+            citations = [(i * 13) % n for i in range(n)]
+            rate = float(max(n - 1, 1))
+            ratios = [c / rate for c in citations]
             k = math.ceil(0.1 * n)
-            assert len(subset) == k
-            expected = sum(sorted(ratios, reverse=True)[:k]) / k
-            assert mean == pytest.approx(expected)
+            expected = math.fsum(sorted(ratios, reverse=True)[:k]) / k
+            assert self.nation_row(citations, rate).top_decile_mean_cx == expected, n
+
+    def test_ten_ratios_takes_best_one(self):
+        assert self.nation_row(list(range(1, 11)), 10.0).top_decile_mean_cx == 1.0
+
+    def test_single_publication(self):
+        assert self.nation_row([7], 10.0).top_decile_mean_cx == 0.7
+
+    def test_constant_ratios(self):
+        for n in (7, 25):
+            assert self.nation_row([4] * n, 10.0).top_decile_mean_cx == pytest.approx(0.4)
+
+
+class TestCombine:
+    def test_dense_branch_keeps_distinct_pairs(self):
+        # span * radix >= 2**63 makes the incoming code dense before it is combined.
+        code = np.array([2**40, 7, 2**40, 2**50, 7, 2**50], np.int64)
+        label = np.array([0, 1, 0, 0, 1, 1], np.int64)
+        radix = 3
+        out, span = _combine(code.copy(), 2**62, label, radix)
+        assert span == len(set(code.tolist())) * radix
+        pairs = list(zip(code.tolist(), label.tolist()))
+        for i in range(len(code)):
+            for j in range(len(code)):
+                assert (out[i] == out[j]) == (pairs[i] == pairs[j])
 
 
 class TestScoreAndEmit:
-    def test_score_publications_flags(self):
+    def test_missing_cell_excluded_and_counted(self):
         # p2's (2007, F1) cell is missing: excluded and counted, never scored.
         corpus = mk_corpus([pub("p1", citations=4), pub("p2", year=2007, citations=1)])
         bm = tables({(2003, "F1"): 4.0}, {(2003, "J1"): 2.0})
-        top = TopJournalSet({"F1": frozenset({"J1"})}, 0.10)
+        top = TopJournalSet({"F1": frozenset({"J1"})})
         [row] = aggregate(corpus, ("nation",), bm, top)
         assert row.n_pubs == 1 and row.n_excluded == 1
         assert row.mean_cx == 1.0
@@ -426,7 +451,7 @@ class TestScoreAndEmit:
     def test_csv_four_decimals_and_json_full_precision(self, tmp_path):
         corpus = mk_corpus([pub("p1", citations=1), pub("p2", citations=2)])
         bm = tables({(2003, "F1"): 3.0}, {(2003, "J1"): 1.5})
-        top = TopJournalSet({"F1": frozenset({"J1"})}, 0.10)
+        top = TopJournalSet({"F1": frozenset({"J1"})})
         rows = aggregate(corpus, ("nation",), bm, top)
         buf = io.StringIO()
         write_indicator_csv(rows, buf)

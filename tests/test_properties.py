@@ -58,7 +58,7 @@ TABLES = BenchmarkTables(
     CitationBenchmarkTable("field", {(y, f): BenchmarkCell(1, 2.0) for y in YEARS for f in SCHEME}),
     CitationBenchmarkTable("journal", {(y, "J1"): BenchmarkCell(1, 2.0) for y in YEARS}),
 )
-NO_TOP = TopJournalSet({}, 0.10)
+NO_TOP = TopJournalSet({})
 ORG_SLICES = (("org",), ("org_type",), ("subunit",), ("org", "field"))
 
 records = st.lists(
@@ -183,7 +183,7 @@ def test_benchmark_csv_round_trip_is_exact(kind, cells):
 TARGETS = (("A", None), ("A", "A_L1"), ("A", "A_L2"), ("B", None), ("B", "B_S"), ("C", None))
 SPLITS = ((), ("1",), ("1/2", "1/2"), ("1/3", "1/3", "1/3"), ("1/2", "1/3", "1/6"))
 DIFF_JOURNALS = [(j, f"Journal {j}", 1.0, sorted(SCHEME)) for j in ("J1", "J2", "J3")]
-DIFF_TOP = TopJournalSet({"F1": frozenset({"J1"}), "F2": frozenset({"J3"}), "F3": frozenset({"J2"})}, 0.10)
+DIFF_TOP = TopJournalSet({"F1": frozenset({"J1"}), "F2": frozenset({"J3"}), "F3": frozenset({"J2"})})
 DIFF_SLICES = (
     ("nation",), ("org",), ("org_type",), ("subunit",),
     ("org", "field"), ("org_type", "discipline"), ("discipline", "year"),

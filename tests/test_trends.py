@@ -126,6 +126,19 @@ class TestAnnualSeries:
         assert len(series) == 8
         assert all(len(s.points) == 6 for s in series)
 
+    def test_entities_in_order_and_years_ascending(self):
+        # Records arrive newest first and fields in reverse: series still come
+        # out by discipline name, each with its years ascending.
+        scheme = {"F1": "Physics", "F2": "Biology", "F3": "Chemistry"}
+        corpus = corpus_years(
+            {y: [("F3", 2), ("F2", 1), ("F1", y % 3 + 1)] for y in range(2006, 2000, -1)}, scheme=scheme
+        )
+        bm = compute_benchmarks(corpus)
+        top = classify_top_journals(corpus.journals, corpus.field_scheme)
+        series = annual_series(corpus, ("discipline",), bm, top)
+        assert [s.entity_id() for s in series] == ["Biology", "Chemistry", "Physics"]
+        assert all(s.years == tuple(range(2001, 2007)) for s in series)
+
     def test_year_key_rejected(self):
         corpus = corpus_years({2003: [("F1", 1)]})
         bm = compute_benchmarks(corpus)
@@ -153,7 +166,7 @@ class TestSeriesGrowth:
         # One top journal but hardly any publications in it.
         from fieldimpact.benchmarks import TopJournalSet
 
-        top = TopJournalSet({"F1": frozenset()}, 0.10)
+        top = TopJournalSet({"F1": frozenset()})
         series = annual_series(corpus, ("nation",), bm, top)[0]
         with pytest.raises(GrowthError):
             series_growth(series, "top_share_pct")  # zero share -> undefined
