@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .columns import exact_dtype, record_columns, segments
+from .columns import exact_dtype, segments
 from .corpus import Corpus, CorpusError, FieldScheme, Journal, _read_csv
 from .reporting import Table, emit
 
@@ -86,7 +86,7 @@ def _mean_table(kind: str, sums: Mapping[tuple[int, str], Sequence[int]]) -> Cit
 
 def compute_xcr(benchmark_corpus: Corpus) -> CitationBenchmarkTable:
     """Expected citation rate per (year, field) over the benchmark corpus."""
-    cols = record_columns(benchmark_corpus)
+    cols = benchmark_corpus.columns
     sums: dict[tuple[int, str], list[int]] = {}
     for y, t, n, total in _cell_sums(cols.year, cols.fields, len(cols.field_tuples), cols.citations):
         for field_id in cols.field_tuples[t]:
@@ -98,7 +98,7 @@ def compute_xcr(benchmark_corpus: Corpus) -> CitationBenchmarkTable:
 
 def compute_jxcr(benchmark_corpus: Corpus) -> CitationBenchmarkTable:
     """Expected citation rate per (year, journal) over the benchmark corpus."""
-    cols = record_columns(benchmark_corpus)
+    cols = benchmark_corpus.columns
     return _mean_table("journal", {
         (cols.years[y], cols.journals[j]): (n, total)
         for y, j, n, total in _cell_sums(cols.year, cols.journal, len(cols.journals), cols.citations)

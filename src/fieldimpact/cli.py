@@ -306,7 +306,7 @@ def _analysis_inputs(args, config, keys: tuple[str, ...]):
     if organizational:
         if rules_path:
             corpus = _apply_rules(corpus, rules_path, threads).corpus
-        elif not any(rec.attributions for rec in corpus.records):
+        elif not any(corpus.columns.attribution_tuples):
             raise UsageError("organizational analysis needs --rules or records with attributions")
     xcr_csv = _opt(args, config, "xcr_csv")
     jxcr_csv = _opt(args, config, "jxcr_csv")

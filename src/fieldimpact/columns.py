@@ -1,36 +1,48 @@
 """Integer-coded record columns and the array primitives over them.
 
-`record_columns` turns a corpus's records into numpy columns once and
-keeps them on the corpus, which is immutable, so they cannot go stale.
-Each code column indexes a tuple of the distinct values it stands for.
-Benchmark tables and `aggregate` run over these columns; their per-value
-work (benchmark lookups, labels, weights) runs once per distinct value,
-never once per record.
+A corpus stores its records only as these columns. Ingest decodes each
+publication line straight into them, and reconciliation replaces the
+attribution column; `PublicationRecord`s are views built from them on
+demand. Each code column indexes a tuple of the distinct values it
+stands for, numbered in order of first appearance, and every distinct
+value is used by some record. Benchmark tables, `aggregate`,
+reconciliation and the writer run over these columns; their per-value
+work (benchmark lookups, labels, weights, address matching, encoding)
+runs once per distinct value, never once per record.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .corpus import Attribution, Corpus, DocType
+if TYPE_CHECKING:
+    from .corpus import Attribution, DocType
 
 
 class RecordColumns(NamedTuple):
-    """One int32 code per record into each distinct-value tuple, plus int64 citations."""
+    """The ids, one int32 code per record into each distinct-value tuple, and int64 citations."""
 
+    ids: tuple[str, ...]
     year: np.ndarray
     journal: np.ndarray
     doc_type: np.ndarray
     fields: np.ndarray
+    addresses: np.ndarray
     attributions: np.ndarray
     citations: np.ndarray
     years: tuple[int, ...]
     journals: tuple[str, ...]
     doc_types: tuple[DocType, ...]
     field_tuples: tuple[tuple[str, ...], ...]
+    address_lists: tuple[tuple[str, ...], ...]
     attribution_tuples: tuple[tuple[Attribution, ...], ...]
+
+
+# Each code column and the tuple of distinct values it indexes.
+CODED = (("year", "years"), ("journal", "journals"), ("doc_type", "doc_types"), ("fields", "field_tuples"),
+         ("addresses", "address_lists"), ("attributions", "attribution_tuples"))
 
 
 def encode(values, n: int = -1) -> tuple[np.ndarray, tuple]:
@@ -40,27 +52,21 @@ def encode(values, n: int = -1) -> tuple[np.ndarray, tuple]:
     return codes, tuple(index)
 
 
-def record_columns(corpus: Corpus) -> RecordColumns:
-    """The corpus's records as columns, built on first use and kept on the corpus."""
-    if corpus._columns is None:
-        records = corpus.records
-        n = len(records)
-        year, years = encode((r.year for r in records), n)
-        journal, journals = encode((r.journal_id for r in records), n)
-        doc_type, doc_types = encode((r.doc_type for r in records), n)
-        fields, field_tuples = encode((r.field_ids for r in records), n)
-        # Ingest and reconcile share one tuple per distinct list, so identity
-        # narrows the tuples cheaply; hashing them all would hash every weight.
-        by_id, ids = encode((id(r.attributions) for r in records), n)
-        tuple_of = {id(r.attributions): r.attributions for r in records}
-        by_value, attribution_tuples = encode((tuple_of[i] for i in ids), len(ids))
-        columns = RecordColumns(
-            year, journal, doc_type, fields, by_value[by_id],
-            np.fromiter((r.citations for r in records), np.int64, n),
-            years, journals, doc_types, field_tuples, attribution_tuples,
-        )
-        object.__setattr__(corpus, "_columns", columns)
-    return corpus._columns
+def renumber(codes: np.ndarray, values: tuple) -> tuple[np.ndarray, tuple]:
+    """`codes` renumbered in order of first appearance, and the values they
+    then index; values that no code names drop out."""
+    used = list(dict.fromkeys(codes.tolist()))
+    lookup = np.zeros(len(values), np.int32)
+    lookup[used] = np.arange(len(used), dtype=np.int32)
+    return lookup[codes], tuple(values[c] for c in used)
+
+
+def select(cols: RecordColumns, rows: np.ndarray) -> RecordColumns:
+    """The columns of `rows`, in that order, with every code renumbered."""
+    picked = {"ids": tuple(map(cols.ids.__getitem__, rows.tolist())), "citations": cols.citations[rows]}
+    for code, values in CODED:
+        picked[code], picked[values] = renumber(getattr(cols, code)[rows], getattr(cols, values))
+    return RecordColumns(**picked)
 
 
 def expand(codes: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """Domain model and ingest for publication corpora.
 
 A corpus bundles publication records with the journal, organization and
-field registries they reference. Construction validates every cross
-reference, normalizes record order, and yields an immutable object that
-downstream stages (reconciliation, benchmarks, indicators) can share
-freely across threads.
+field registries they reference. Ingest decodes each publication line
+straight into integer-coded columns (`columns.RecordColumns`), validates
+every cross reference once per distinct value, sorts the records by id,
+and yields an immutable object that downstream stages (reconciliation,
+benchmarks, indicators) can share freely across threads. The columns
+are the corpus's only stored form of its records; `Corpus.records`
+builds `PublicationRecord` views from them on demand.
 """
 
 from __future__ import annotations
@@ -12,14 +15,21 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple
+
+import numpy as np
+
+from .columns import RecordColumns, encode, select
 
 
 class CorpusError(ValueError):
@@ -130,6 +140,48 @@ class FieldScheme:
         return field_id in self.field_to_discipline
 
 
+class RecordView(Sequence):
+    """The rows of record columns as a read-only sequence of `PublicationRecord`s,
+    each built when read and not kept. It equals any sequence of equal records."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: RecordColumns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns.ids)
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return tuple(self._build(index))
+        row = range(len(self))[index]  # IndexError past either end
+        return next(self._build(slice(row, row + 1)))
+
+    def __iter__(self):
+        return self._build(slice(None))
+
+    def _build(self, rows: slice):
+        cols = self._columns
+
+        def pick(values, codes):
+            return map(values.__getitem__, codes[rows].tolist())
+
+        return map(
+            PublicationRecord, cols.ids[rows], pick(cols.years, cols.year), pick(cols.doc_types, cols.doc_type),
+            pick(cols.journals, cols.journal), pick(cols.field_tuples, cols.fields), cols.citations[rows].tolist(),
+            pick(cols.address_lists, cols.addresses), pick(cols.attribution_tuples, cols.attributions),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"RecordView({list(self)!r})"
+
+
 class CorpusSummary(NamedTuple):
     n_records: int
     n_journals: int
@@ -137,25 +189,38 @@ class CorpusSummary(NamedTuple):
     doc_type_counts: dict[str, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Corpus:
-    """Immutable, validated snapshot of records plus their registries."""
+    """Immutable, validated snapshot of records, as columns in id order, plus their registries."""
 
-    records: tuple[PublicationRecord, ...]
+    columns: RecordColumns
     journals: Mapping[str, Journal]
     organizations: Mapping[str, Organization]
     field_scheme: FieldScheme
     census_date: date | None = None
-    # The records as columns, filled on first use by `columns.record_columns`;
-    # `dataclasses.replace` makes a new corpus with none.
-    _columns: object = field(default=None, init=False, repr=False, compare=False)
+    # Values derived from the columns, kept by `cached`; `dataclasses.replace`
+    # makes a new corpus with none.
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def cached(self, key: str, build):
+        """`build(self)`, computed on the first call for `key` and then kept:
+        the corpus is immutable, so it cannot go stale."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
+
+    @property
+    def records(self) -> RecordView:
+        """The records as `PublicationRecord`s in id order, each built when read."""
+        return RecordView(self.columns)
 
     def summary(self) -> CorpusSummary:
+        cols = self.columns
         counts = {dt.value: 0 for dt in DocType}
-        for rec in self.records:
-            counts[rec.doc_type.value] += 1
+        for dt, n in zip(cols.doc_types, np.bincount(cols.doc_type, minlength=len(cols.doc_types)).tolist()):
+            counts[dt.value] = n
         return CorpusSummary(
-            n_records=len(self.records),
+            n_records=len(cols.ids),
             n_journals=len(self.journals),
             n_organizations=len(self.organizations),
             doc_type_counts=counts,
@@ -231,10 +296,6 @@ def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None
     The diagnostic list is complete (every violated constraint), and the
     record is None whenever any diagnostic is present.
     """
-    return _validate(raw, None)
-
-
-def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[PublicationRecord | None, list[str]]:
     diagnostics: list[str] = []
 
     rec_id = raw.get("id")
@@ -285,7 +346,7 @@ def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[Publication
         addresses = tuple(addresses_raw)
 
     # Optional extension: reconciled corpora round-trip their attributions.
-    attributions = _memo_attributions(raw.get("attributions"), diagnostics, memo)
+    attributions = _parse_attributions(raw.get("attributions"), diagnostics)
 
     if diagnostics:
         return None, diagnostics
@@ -302,21 +363,24 @@ def _validate(raw: Mapping[str, object], memo: dict | None) -> tuple[Publication
     return record, []
 
 
-def _memo_attributions(raw: object, diagnostics: list[str], memo: dict | None) -> tuple[Attribution, ...]:
-    """`_parse_attributions` through `memo`, keyed by (org, subunit, weight) when
-    every item holds JSON strings as `write_publications_jsonl` writes them.
-    Other types stay out of the key (`1` and `true` compare equal but do not
-    both validate); only lists that validate are stored."""
-    if memo is None or type(raw) is not list or not all(type(item) is dict for item in raw):
+def _memo_attributions(raw: object, diagnostics: list[str], memo: dict) -> tuple[Attribution, ...]:
+    """`_parse_attributions` through `memo`, keyed by (org, subunit, weight) per
+    item. Only lists whose keys hold JSON strings, as `write_publications_jsonl`
+    writes them, are stored (`1` and `true` compare equal but do not both
+    validate), so a key that finds an entry holds strings too."""
+    if type(raw) is not list:
         return _parse_attributions(raw, diagnostics)
-    key = tuple((item.get("org"), item.get("subunit"), item.get("weight")) for item in raw)
-    if not all(type(o) is str and type(w) is str and (s is None or type(s) is str) for o, s, w in key):
+    try:
+        key = tuple([(item.get("org"), item.get("subunit"), item.get("weight")) for item in raw])
+        parsed = memo.get(key)
+    except (AttributeError, TypeError):  # an item that is no dict, or a value that is a list or dict
         return _parse_attributions(raw, diagnostics)
-    parsed = memo.get(key)
     if parsed is None:
         n_diagnostics = len(diagnostics)
         parsed = _parse_attributions(raw, diagnostics)
-        if len(diagnostics) == n_diagnostics:
+        if len(diagnostics) == n_diagnostics and all(
+            type(o) is str and type(w) is str and (s is None or type(s) is str) for o, s, w in key
+        ):
             memo[key] = parsed
     return parsed
 
@@ -501,48 +565,115 @@ def load_field_scheme(source: PathOrIO) -> FieldScheme:
     return FieldScheme(mapping)
 
 
-def parse_publications(source: PathOrIO) -> tuple[list[PublicationRecord], list[str]]:
-    """Parse publications JSONL into records plus the full diagnostic list.
+def _valid_fields(fields: tuple) -> bool:
+    return bool(fields) and all(type(f) is str and f for f in fields) and len(set(fields)) == len(fields)
 
-    Each distinct attribution list is validated once per call: records
-    whose lists are equal share one tuple of `Attribution`s. A list that
-    fails validation is diagnosed again on every line that carries it.
+
+def _read_columns(source: PathOrIO) -> tuple[RecordColumns, list[str]]:
+    """Decode publications JSONL into columns in file order, plus the full
+    diagnostic list; the distinct-value tuples may hold values that no
+    kept record uses (`columns.select` drops them).
+
+    A line takes the fast path when id, year, doc type, journal and
+    citations have their JSON types and ranges and fields and addresses
+    are lists: each distinct field tuple and address list is checked the
+    first time it is seen, and each distinct attribution list validated
+    once by `_memo_attributions`, so equal lists share one tuple. Every
+    other line goes through `validate_record`, so each diagnostic keeps
+    its text and its order.
     """
-    records: list[PublicationRecord] = []
-    diagnostics: list[str] = []
-    seen: set[str] = set()
-    attribution_memo: dict[tuple, tuple[Attribution, ...]] = {}
+    ids, seen, diagnostics, rejected = [], set(), [], []
+    coded = ([], [], [], [], [], [], [])  # codes into the dicts below, then citations
+    add_year, add_journal, add_doc_type, add_fields, add_addresses, add_attributions, add_citations = (
+        c.append for c in coded
+    )
+    # Distinct value -> code, its place in the dict; -1 for a field tuple or
+    # address list that does not validate. Attribution tuples go by identity,
+    # and the dict keeps each alive.
+    year_codes, journal_codes, doc_codes, field_codes, address_codes = {}, {}, {}, {}, {}
+    attribution_codes: dict[int, tuple[int, tuple[Attribution, ...]]] = {}
+    memo: dict[tuple, tuple[Attribution, ...]] = {}
+    # The scanner of `json.loads`; a line that is more than one JSON value
+    # and "\n" goes through `json.loads` itself.
+    scan = json.JSONDecoder().scan_once
     with _open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diagnostics.append(f"publications line {lineno}: malformed JSON ({exc.msg})")
-                continue
-            except RecursionError:
-                diagnostics.append(f"publications line {lineno}: malformed JSON (nested too deeply)")
-                continue
+                raw, end = scan(line, 0)
+                whole = end == len(line) - 1 and line[end] == "\n"
+            except (ValueError, StopIteration, RecursionError):
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    diagnostics.append(f"publications line {lineno}: malformed JSON ({exc.msg})")
+                    continue
+                except RecursionError:
+                    diagnostics.append(f"publications line {lineno}: malformed JSON (nested too deeply)")
+                    continue
             if not isinstance(raw, dict):
                 diagnostics.append(f"publications line {lineno}: expected an object")
                 continue
-            record, rec_diags = _validate(raw, attribution_memo)
-            if rec_diags:
-                rec_id = raw.get("id", "?")
-                diagnostics.extend(
-                    f"publications line {lineno} (record {rec_id}): {d}" for d in rec_diags
-                )
+            f = a = -1
+            try:
+                rec_id, y, doc, jid, cites = raw["id"], raw["year"], raw["doc_type"], raw["journal"], raw["citations"]
+                field_list, address_list = raw["fields"], raw.get("addresses", [])
+                if (type(rec_id) is str and rec_id and type(y) is int and type(doc) is str and doc in _DOC_TYPES
+                        and type(jid) is str and jid and type(cites) is int and 0 <= cites < 2**53
+                        and type(field_list) is list and type(address_list) is list):
+                    field_key, address_key = tuple(field_list), tuple(address_list)
+                    if (f := field_codes.get(field_key)) is None:
+                        f = field_codes[field_key] = len(field_codes) if _valid_fields(field_key) else -1
+                    if (a := address_codes.get(address_key)) is None:
+                        valid = all(type(s) is str for s in address_key)
+                        a = address_codes[address_key] = len(address_codes) if valid else -1
+                    atts = raw.get("attributions")
+                    atts = () if atts is None else _memo_attributions(atts, rejected, memo)
+                    if rejected:
+                        rejected.clear()
+                        f = -1
+            except (KeyError, TypeError):  # a missing key or an unhashable item, which `validate_record` diagnoses
+                f = -1
+            if f < 0 or a < 0:
+                record, rec_diags = validate_record(raw)
+                if rec_diags:
+                    rec_id = raw.get("id", "?")
+                    diagnostics.extend(f"publications line {lineno} (record {rec_id}): {d}" for d in rec_diags)
+                    continue
+                rec_id, y, doc, jid, cites = (record.id, record.year, record.doc_type.value, record.journal_id,
+                                              record.citations)
+                f = field_codes.setdefault(record.field_ids, len(field_codes))
+                a = address_codes.setdefault(record.addresses, len(address_codes))
+                atts = record.attributions
+            if rec_id in seen:
+                diagnostics.append(f"publications line {lineno}: duplicate publication id {rec_id!r}")
                 continue
-            assert record is not None
-            if record.id in seen:
-                diagnostics.append(
-                    f"publications line {lineno}: duplicate publication id {record.id!r}"
-                )
-                continue
-            seen.add(record.id)
-            records.append(record)
-    return records, diagnostics
+            seen.add(rec_id)
+            ids.append(rec_id)
+            add_year(year_codes.setdefault(y, len(year_codes)))
+            add_journal(journal_codes.setdefault(jid, len(journal_codes)))
+            add_doc_type(doc_codes.setdefault(doc, len(doc_codes)))
+            add_fields(f)
+            add_addresses(a)
+            add_attributions(attribution_codes.setdefault(id(atts), (len(attribution_codes), atts))[0])
+            add_citations(cites)
+    by_value, attribution_tuples = encode(atts for _, atts in attribution_codes.values())
+    year, journal, doc_type, fields, addresses, attributions = (np.array(c, np.int32) for c in coded[:6])
+    return RecordColumns(
+        tuple(ids), year, journal, doc_type, fields, addresses, by_value[attributions], np.array(coded[6], np.int64),
+        tuple(year_codes), tuple(journal_codes), tuple(map(_DOC_TYPES.get, doc_codes)), tuple(field_codes),
+        tuple(address_codes), attribution_tuples,
+    ), diagnostics
+
+
+def parse_publications(source: PathOrIO) -> tuple[list[PublicationRecord], list[str]]:
+    """Parse publications JSONL into records, in file order, plus the full
+    diagnostic list (see `_read_columns`)."""
+    columns, diagnostics = _read_columns(source)
+    return list(RecordView(columns)), diagnostics
 
 
 def parse_corpus(
@@ -562,15 +693,19 @@ def parse_corpus(
     journal_registry = load_journals(journals)
     org_registry = load_organizations(orgs)
     scheme = load_field_scheme(field_scheme)
-    records, diagnostics = parse_publications(publications)
+    cols, diagnostics = _read_columns(publications)
+    # Python string order; a numpy str array would drop trailing NULs. When
+    # every line was kept and the ids came sorted, every value is used and
+    # the codes already count in order of first appearance.
+    order = sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
+    if diagnostics or order != list(range(len(order))):
+        cols = select(cols, np.array(order, np.intp))
 
-    dangling_journals = {rec.journal_id for rec in records}.difference(journal_registry)
-    field_refs = {f for rec in records for f in rec.field_ids}
+    dangling_journals = set(cols.journals).difference(journal_registry)
+    field_refs = {f for t in cols.field_tuples for f in t}
     field_refs.update(f for journal in journal_registry.values() for f in journal.field_ids)
     dangling_fields = field_refs.difference(scheme.field_to_discipline)
-    # Ingest shares one tuple per distinct attribution list: dedupe by identity,
-    # since hashing the tuples would hash every weight.
-    attributions = {a for t in {id(r.attributions): r.attributions for r in records}.values() for a in t}
+    attributions = {a for t in cols.attribution_tuples for a in t}
     dangling_orgs = {a.org_id for a in attributions}.difference(org_registry)
     dangling_orgs.update(
         a.subunit_id for a in attributions if a.subunit_id is not None
@@ -583,9 +718,8 @@ def parse_corpus(
     if diagnostics:
         raise CorpusValidationError(diagnostics)
 
-    records.sort(key=lambda r: r.id)
     return Corpus(
-        records=tuple(records),
+        columns=cols,
         journals=journal_registry,
         organizations=org_registry,
         field_scheme=scheme,
@@ -594,32 +728,35 @@ def parse_corpus(
 
 
 def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) -> None:
-    """Write records back to the publications JSONL format.
+    """Write records back to the publications JSONL format, in id order.
 
     Attributions, when present, are carried in an optional key with exact
-    fractional weights so reconciled corpora survive a round trip.
+    fractional weights so reconciled corpora survive a round trip. Each
+    distinct year, doc type, journal, field tuple, address list and
+    attribution tuple is encoded once; per record only the id and the
+    citation count are. Each line reads as `json.dumps` of the record.
     """
-    # Records share one attribution tuple per distinct list, and the corpus keeps
-    # every tuple alive, so each is encoded once, keyed by identity.
-    encoded: dict[int, str] = {}
+    cols = corpus.columns
+    dumps, encode_id = json.dumps, json.encoder.encode_basestring_ascii
+    years = [str(y) for y in cols.years]
+    doc_types = [dumps(dt.value) for dt in cols.doc_types]
+    journals = [dumps(j) for j in cols.journals]
+    fields = [dumps(list(t)) for t in cols.field_tuples]
+    addresses = [dumps(list(t)) for t in cols.address_lists]
+    attributions = [
+        ', "attributions": ' + dumps([
+            {"org": a.org_id, "subunit": a.subunit_id, "weight": f"{a.weight.numerator}/{a.weight.denominator}"}
+            for a in t
+        ]) if t else ""
+        for t in cols.attribution_tuples
+    ]
+    rows = zip(cols.ids, cols.year.tolist(), cols.doc_type.tolist(), cols.journal.tolist(), cols.fields.tolist(),
+               cols.citations.tolist(), cols.addresses.tolist(), cols.attributions.tolist())
     with _open_out(destination) as fh:
-        for rec in corpus.records:
-            line = json.dumps({
-                "id": rec.id,
-                "year": rec.year,
-                "doc_type": rec.doc_type.value,
-                "journal": rec.journal_id,
-                "fields": list(rec.field_ids),
-                "citations": rec.citations,
-                "addresses": list(rec.addresses),
-            })
-            if rec.attributions:
-                text = encoded.get(id(rec.attributions))
-                if text is None:
-                    text = encoded[id(rec.attributions)] = json.dumps([
-                        {"org": a.org_id, "subunit": a.subunit_id,
-                         "weight": f"{a.weight.numerator}/{a.weight.denominator}"}
-                        for a in rec.attributions
-                    ])
-                line = f'{line[:-1]}, "attributions": {text}}}'
-            fh.write(line + "\n")
+        while chunk := list(islice(rows, 1 << 14)):
+            fh.write("".join([
+                f'{{"id": {encode_id(i)}, "year": {years[y]}, "doc_type": {doc_types[d]}, '
+                f'"journal": {journals[j]}, "fields": {fields[f]}, "citations": {c}, '
+                f'"addresses": {addresses[a]}{attributions[t]}}}\n'
+                for i, y, d, j, f, c, a, t in chunk
+            ]))

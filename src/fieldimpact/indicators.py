@@ -42,7 +42,7 @@ from .benchmarks import (
     CitationBenchmarkTable,
     TopJournalSet,
 )
-from .columns import encode, exact_dtype, expand, per_pair, record_columns, segments
+from .columns import encode, exact_dtype, expand, per_pair, segments
 from .corpus import Corpus, CorpusError, OrgType, PublicationRecord
 from .reporting import Table, emit
 
@@ -145,7 +145,7 @@ def aggregate(
     order; rows that agree on all but the last key are adjacent.
     """
     keys = _validate_slice(slice_spec)
-    cols = record_columns(corpus)
+    cols = corpus.columns
     years, journals, field_tuples = cols.years, cols.journals, cols.field_tuples
     discipline_of = corpus.field_scheme.discipline_of
 
@@ -332,32 +332,36 @@ def org_type_discipline_weights(corpus: Corpus):
 
     Multi-field publications count once per distinct discipline (double
     counting, as in discipline-level output tables); the overall totals
-    count each publication once. Unattributed records are excluded.
+    count each publication once. Unattributed records are excluded. Each
+    distinct (attribution tuple, field tuple) pair adds its weights times
+    its record count.
     """
-    scheme = corpus.field_scheme
+    scheme, cols = corpus.field_scheme, corpus.columns
+    n_fields = len(cols.field_tuples)
+    pairs, counts = np.unique(cols.attributions.astype(np.int64) * n_fields + cols.fields, return_counts=True)
     w_td: dict[tuple[OrgType, str], Fraction] = {}
     w_d: dict[str, Fraction] = {}
     w_t: dict[OrgType, Fraction] = {}
     total = Fraction(0)
-    for rec in corpus.records:
-        if not rec.attributions:
-            continue
-        discs = sorted({scheme.discipline_of(f) for f in rec.field_ids})
-        for att in rec.attributions:
-            org_type = corpus.organizations[att.org_id].org_type
-            w_t[org_type] = w_t.get(org_type, Fraction(0)) + att.weight
-            total += att.weight
+    for pair, n in zip(pairs.tolist(), counts.tolist()):
+        a, t = divmod(pair, n_fields)
+        discs = sorted({scheme.discipline_of(f) for f in cols.field_tuples[t]})
+        for att in cols.attribution_tuples[a]:
+            org_type, weight = corpus.organizations[att.org_id].org_type, att.weight * n
+            w_t[org_type] = w_t.get(org_type, Fraction(0)) + weight
+            total += weight
             for d in discs:
-                w_td[(org_type, d)] = w_td.get((org_type, d), Fraction(0)) + att.weight
-                w_d[d] = w_d.get(d, Fraction(0)) + att.weight
+                w_td[(org_type, d)] = w_td.get((org_type, d), Fraction(0)) + weight
+                w_d[d] = w_d.get(d, Fraction(0)) + weight
     return w_td, w_d, w_t, total
 
 
 def concentration_index(corpus: Corpus, org_type: OrgType | str, discipline: str) -> float:
-    """Within-discipline output share of an org type over its overall share."""
+    """Within-discipline output share of an org type over its overall share,
+    looked up in the corpus's `concentration_table`, built once per corpus."""
     if isinstance(org_type, str):
         org_type = OrgType(org_type)
-    table = concentration_table(corpus)
+    table = corpus.cached("concentration_table", concentration_table)
     if (org_type, discipline) not in table:
         if all(d != discipline for _, d in table):
             raise IndicatorError(f"discipline {discipline!r} has no attributed publications")

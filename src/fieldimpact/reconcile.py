@@ -18,8 +18,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
-from .corpus import (Attribution, Corpus, CorpusError, CorpusValidationError, Organization,
-                     PublicationRecord, _open_text)
+import numpy as np
+
+from .columns import renumber, segments
+from .corpus import Attribution, Corpus, CorpusError, CorpusValidationError, Organization, _open_text
 from .reporting import Table, emit
 
 _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
@@ -256,29 +258,34 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     sub-unit targets of the same organization match, that organization's
     1/m is split equally among them, so weights always sum to exactly 1.
     Records with no match get empty attributions, replacing any they
-    carried. Each distinct address is matched once, by `RuleSet.match`.
-    Records are rebuilt in the matching pass itself; each distinct match
-    profile is checked once against `corpus.organizations`. `threads` is
-    accepted for compatibility and has no effect.
+    carried. Each distinct address list is matched once, and each
+    distinct address once, by `RuleSet.match`; each distinct match
+    profile is checked once against `corpus.organizations`. The result
+    shares every column with `corpus` but the attribution column.
+    `threads` is accepted for compatibility and has no effect.
     """
-    records = corpus.records
+    cols = corpus.columns
+    n_records = np.bincount(cols.addresses, minlength=len(cols.address_lists)).tolist()
+    # Each list's records in id order; every code names at least one record.
+    order, starts = segments(cols.addresses)
+    starts = starts.tolist()
     # Raw address strings repeat heavily in real exports; memoizing the
     # normalization and the first-match target (None: no rule matched)
     # keeps the per-address cost at two dict lookups.
     norm_cache: dict[str, str] = {}
     target_cache: dict[str, tuple[str, str | None] | None] = {}
     unmatched_counts: dict[str, int] = {}
-    unmatched_samples: dict[str, list[str]] = {}
-    total_addresses = 0
-    matched_addresses = 0
-    n_attributed = 0
-    # Distinct match profiles are few; share one attribution tuple per profile.
-    att_cache: dict[tuple, tuple[Attribution, ...]] = {}
-    out: list[PublicationRecord] = []
+    unmatched_lists: dict[str, set[int]] = {}  # the address lists that hold each
+    total_addresses = matched_addresses = n_attributed = 0
+    # Distinct match profiles are few: one attribution code per profile,
+    # and one per distinct attribution tuple.
+    profile_codes: dict[tuple, int] = {}
+    attribution_codes: dict[tuple[Attribution, ...], int] = {(): 0}
+    list_attributions: list[int] = []
 
-    for rec in records:
+    for code, (addresses, n) in enumerate(zip(cols.address_lists, n_records)):
         matches = []
-        for raw in rec.addresses:
+        for raw in addresses:
             normalized = norm_cache.get(raw)
             if normalized is None:
                 normalized = norm_cache.setdefault(raw, normalize_address(raw))
@@ -288,38 +295,42 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
             if target is not None:
                 matches.append(target)
                 continue
-            unmatched_counts[normalized] = unmatched_counts.get(normalized, 0) + 1
-            sample = unmatched_samples.setdefault(normalized, [])
-            if len(sample) < _SAMPLE_IDS and rec.id not in sample:
-                sample.append(rec.id)
-        total_addresses += len(rec.addresses)
-        atts = ()
+            unmatched_counts[normalized] = unmatched_counts.get(normalized, 0) + n
+            unmatched_lists.setdefault(normalized, set()).add(code)
+        total_addresses += len(addresses) * n
+        attribution = 0
         if matches:
-            matched_addresses += len(matches)
-            n_attributed += 1
+            matched_addresses += len(matches) * n
+            n_attributed += n
             profile = tuple(matches)
-            atts = att_cache.get(profile)
-            if atts is None:
-                atts = att_cache[profile] = _attributions_for(matches, corpus.organizations)
-        if atts or rec.attributions:
-            # Positional construction costs a fraction of dataclasses.replace.
-            rec = PublicationRecord(rec.id, rec.year, rec.doc_type, rec.journal_id,
-                                    rec.field_ids, rec.citations, rec.addresses, atts)
-        out.append(rec)
+            attribution = profile_codes.get(profile)
+            if attribution is None:
+                atts = _attributions_for(matches, corpus.organizations)
+                attribution = profile_codes[profile] = attribution_codes.setdefault(atts, len(attribution_codes))
+        list_attributions.append(attribution)
+
+    def sample_ids(lists) -> tuple[str, ...]:
+        """Ids of the first records, in id order, that carry any of `lists`."""
+        rows = sorted(r for c in lists for r in order[starts[c]:starts[c] + min(n_records[c], _SAMPLE_IDS)].tolist())
+        return tuple(cols.ids[r] for r in rows[:_SAMPLE_IDS])
 
     entries = tuple(
-        UnmatchedAddress(addr, count, tuple(unmatched_samples[addr]))
+        UnmatchedAddress(addr, count, sample_ids(unmatched_lists[addr]))
         for addr, count in sorted(unmatched_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     )
     stats = ReconcileStats(
         total_addresses=total_addresses,
         matched_addresses=matched_addresses,
-        n_records=len(records),
+        n_records=len(cols.ids),
         n_attributed=n_attributed,
-        n_unattributed=len(records) - n_attributed,
+        n_unattributed=len(cols.ids) - n_attributed,
     )
+    attributions, attribution_tuples = renumber(
+        np.array(list_attributions, np.int32)[cols.addresses], tuple(attribution_codes)
+    )
+    columns = cols._replace(attributions=attributions, attribution_tuples=attribution_tuples)
     return ReconcileResult(
-        corpus=replace(corpus, records=tuple(out)),
+        corpus=replace(corpus, columns=columns),
         unmatched=UnmatchedReport(entries),
         stats=stats,
     )

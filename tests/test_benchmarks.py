@@ -63,13 +63,8 @@ class TestExpectedCitationRates:
         assert table.get(2003, "F2") == (1, 4.0)
 
     def test_empty_corpus_is_error(self):
-        corpus = mk_corpus([pub("p1")])
-        empty = type(corpus)(
-            records=(),
-            journals=corpus.journals,
-            organizations=corpus.organizations,
-            field_scheme=corpus.field_scheme,
-        )
+        empty = mk_corpus([], journals=[("J1", "Journal One", 1.0, ["F1"])], scheme={"F1": "Physics"})
+        assert empty.records == ()
         with pytest.raises(BenchmarkError, match="no benchmark data"):
             compute_xcr(empty)
 

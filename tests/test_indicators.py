@@ -16,6 +16,7 @@ from fieldimpact.benchmarks import (
     classify_top_journals,
     compute_benchmarks,
 )
+from fieldimpact import indicators
 from fieldimpact.corpus import DocType, OrgType, PublicationRecord
 from fieldimpact.indicators import (
     IndicatorError,
@@ -383,6 +384,19 @@ class TestConcentration:
             exact = concentration_index_from_shares(share, w_t[org_type] / total)
             assert isinstance(exact, Fraction)
             assert value == float(exact) == concentration_index(corpus, org_type, d)
+
+    def test_lookups_compute_the_weights_once(self, monkeypatch):
+        corpus = self.corpus_three_types()
+        calls = []
+        weights = indicators.org_type_discipline_weights
+        monkeypatch.setattr(indicators, "org_type_discipline_weights", lambda c: calls.append(c) or weights(c))
+        found = [
+            concentration_index(corpus, org_type, d)
+            for _ in range(4) for org_type in ("U", "RI", "H") for d in ("Physics", "Biology")
+        ]
+        assert len(found) == 24 and calls == [corpus]
+        assert concentration_index(self.corpus_three_types(), "U", "Physics") == found[0]
+        assert len(calls) == 2  # a new corpus builds its own table
 
     def test_org_type_without_output_rejected(self):
         corpus = mk_corpus(

@@ -1,15 +1,20 @@
 """Property tests over reconciliation, organizational slices, record
 order, benchmark CSV round trips, and `aggregate` and the benchmark
-tables against brute-force oracles.
+tables against brute-force oracles; ingest, the record columns, the
+writer and the concentration weights against theirs.
 
 Worlds are small: a handful of records whose addresses mix org-level,
 sub-unit and unmatched phrases, matched by a fixed rule file.
 """
 
 import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +30,16 @@ from fieldimpact.benchmarks import (
     export_benchmark_csv,
     load_benchmark_csv,
 )
-from fieldimpact.columns import record_columns
-from fieldimpact.corpus import parse_corpus, write_publications_jsonl
-from fieldimpact.indicators import IndicatorRow, aggregate, write_indicator_csv, write_indicator_json
+from fieldimpact.columns import RecordColumns
+from fieldimpact.corpus import (CorpusValidationError, parse_corpus, parse_publications, validate_record,
+                                write_publications_jsonl)
+from fieldimpact.indicators import (IndicatorRow, aggregate, concentration_index_from_shares, concentration_table,
+                                    org_type_discipline_weights, write_indicator_csv, write_indicator_json)
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.reporting import RankingSpec, emit, rank
+from fieldimpact.synth import build_world_spec, generate_corpus, load_generated
 
-from conftest import att, journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
+from conftest import att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, scheme_csv
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -331,6 +339,37 @@ def test_aggregate_exact_sums_beyond_int64_match_oracle():
         assert rows == aggregate_oracle(corpus, keys, FULL_TABLES, DIFF_TOP), keys
 
 
+def record_columns(records) -> RecordColumns:
+    """Columns by brute force from `PublicationRecord`s: each code column in
+    order of first appearance of its values, compared by value."""
+    records = list(records)
+
+    def coded(values):
+        index = {}
+        codes = [index.setdefault(v, len(index)) for v in values]
+        return np.array(codes, np.int32), tuple(index)
+
+    year, years = coded(r.year for r in records)
+    journal, journals = coded(r.journal_id for r in records)
+    doc_type, doc_types = coded(r.doc_type for r in records)
+    fields, field_tuples = coded(r.field_ids for r in records)
+    addresses, address_lists = coded(r.addresses for r in records)
+    attributions, attribution_tuples = coded(r.attributions for r in records)
+    return RecordColumns(
+        tuple(r.id for r in records), year, journal, doc_type, fields, addresses, attributions,
+        np.array([r.citations for r in records], np.int64),
+        years, journals, doc_types, field_tuples, address_lists, attribution_tuples,
+    )
+
+
+def assert_columns_equal(found: RecordColumns, expected: RecordColumns):
+    for name, a, b in zip(RecordColumns._fields, found, expected):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
 @given(records)
 @settings(max_examples=40, deadline=None)
 def test_reconciled_corpus_gets_its_own_columns(drawn):
@@ -339,14 +378,20 @@ def test_reconciled_corpus_gets_its_own_columns(drawn):
         for i, (year, fields, cites, addresses) in enumerate(drawn)
     ]
     corpus = mk_corpus(pubs, journals=JOURNALS, orgs=ORGS, scheme=SCHEME)
-    before = record_columns(corpus)
+    before = corpus.columns
     assert aggregate(corpus, ("org",), TABLES, NO_TOP) == []
     result = reconcile_corpus(corpus, compile_rules(io.StringIO(RULES), corpus.organizations)).corpus
-    assert record_columns(corpus) is before
+    assert corpus.columns is before
     for keys in ORG_SLICES:
         rows = aggregate(result, keys, TABLES, NO_TOP, with_top_decile=True)
         assert rows == aggregate_oracle(result, keys, TABLES, NO_TOP), keys
-    assert record_columns(result) is not before
+    assert result.columns is not before
+    # Reconciliation replaces the attribution column and shares every other one.
+    for name in RecordColumns._fields:
+        shared = getattr(result.columns, name) is getattr(before, name)
+        assert shared == (name not in ("attributions", "attribution_tuples")), name
+    assert_columns_equal(before, record_columns(corpus.records))
+    assert_columns_equal(result.columns, record_columns(result.records))
 
 
 def benchmark_oracle(corpus):
@@ -383,3 +428,252 @@ def test_benchmark_totals_beyond_int64_match_fraction_oracle():
     corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
     assert sum(rec.citations for rec in corpus.records if rec.year == 2001) >= 2**63
     assert (cells_of(compute_xcr(corpus)), cells_of(compute_jxcr(corpus))) == benchmark_oracle(corpus)
+
+
+# Differential test of ingest's fast path: every line, good or bad, gives
+# the records and diagnostics (text and order) of `validate_record` per
+# line plus the duplicate-id and reference checks. Ids include trailing
+# NULs and non-BMP characters, which pin Python's string order.
+
+INGEST_ORGS = [("A", "Alpha", "U", None), ("A_L1", "Alpha Lab", "U", "A"), ("B", "Beta", "RI", None)]
+INGEST_JOURNALS = [("J1", "Journal One", 1.0, ["F1"]), ("J2", "Journal Two", 2.0, ["F1", "F2"])]
+INGEST_SCHEME = {"F1": "Physics", "F2": "Biology"}
+_ABSENT = object()  # the key is left out of the line
+
+# Per key: values that validate without and with a dangling reference, and values that do not.
+GOOD_IDS = ["p1", "p2", "p1\x00", "p1\x00\x00", "p\U0001F600", "\U0001F600", "pé"]
+CLEAN = {
+    "id": GOOD_IDS,
+    "year": [2001, 2002],
+    "doc_type": ["article", "review", "proceedings"],
+    "journal": ["J1", "J2"],
+    "fields": [["F1"], ["F1", "F2"], ["F2", "F1"]],
+    "citations": [0, 5, 2**53 - 1],
+    "addresses": [[], ["Alpha"], ["Alpha", "Beta"], _ABSENT],
+    "attributions": [
+        _ABSENT, None, [], [att("A")], [att("A", "1/1")], [{"org": "A", "subunit": None, "weight": 1}],
+        [{"org": "A", "weight": "1"}], [att("A", "1/2"), att("B", "1/2")], [att("A", "1", "A_L1")],
+    ],
+}
+DANGLING = {"journal": ["GHOST"], "fields": [["NOFIELD"]], "attributions": [[att("GHOST")], [att("B", "1", "A_L1")]]}
+BAD = {
+    "id": ["", 1, None, _ABSENT],
+    "year": [True, "2001", 2001.0, None, _ABSENT],
+    "doc_type": ["thesis", 1, _ABSENT],
+    "journal": ["", 3, _ABSENT],
+    "fields": [[], ["F1", "F1"], ["F1", ""], [1], [["F1"]], "F1", None, _ABSENT],
+    "citations": [2**53, 2**53 + 1, -1, True, False, 1.5, "3", None, _ABSENT],
+    "addresses": [[1], [["Alpha"]], "Alpha", None],
+    "attributions": [
+        [att("A", "1/2")], [att("A", "0")], [{"org": "A", "subunit": None, "weight": True}],
+        [{"org": "A", "subunit": None, "weight": ["1"]}], [{"org": ["A"], "weight": "1"}], ["A"], [1], "A",
+    ],
+}
+RAW_LINES = ["{not json", "[1, 2]", "null", "{}", "   ", "", '{"id": "p9"} extra', "[" * 3000 + "]" * 3000]
+
+
+@st.composite
+def publication_lines(draw):
+    """A JSONL text of drawn lines in a drawn key order. A clean text has
+    unique ids and valid lines only; otherwise each value is bad or
+    dangling with probability 1/8 each, ids repeat, and raw malformed
+    lines, surrounding whitespace and a BOM occur."""
+    clean = draw(st.booleans())
+    ids = draw(st.permutations(GOOD_IDS + [f"q{i}" for i in range(12)]))
+    lines = []
+    for i in range(draw(st.integers(min_value=0, max_value=12))):
+        if not clean and draw(st.integers(min_value=0, max_value=9)) == 0:
+            lines.append(draw(st.sampled_from(RAW_LINES)))
+            continue
+        values = {}
+        for key in draw(st.permutations(list(CLEAN))):
+            kind = 0 if clean else draw(st.integers(min_value=0, max_value=7))
+            pool = BAD[key] if kind == 1 else DANGLING.get(key, CLEAN[key]) if kind == 2 else CLEAN[key]
+            values[key] = ids[i] if key == "id" and clean else draw(st.sampled_from(pool))
+        text = json.dumps({k: v for k, v in values.items() if v is not _ABSENT})
+        if not clean:
+            text = draw(st.sampled_from(["", "", " ", "\ufeff"])) + text + draw(st.sampled_from(["", "", " ", "\r"]))
+        lines.append(text)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def ingest_oracle(text: str):
+    """`parse_publications` and `parse_corpus` by brute force: `json.loads`
+    and `validate_record` per line, then the duplicate-id check, then the
+    reference checks over the kept records. Returns the records in file
+    order, the line diagnostics, and the reference diagnostics."""
+    records, diagnostics, seen = [], [], set()
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            diagnostics.append(f"publications line {lineno}: malformed JSON ({exc.msg})")
+            continue
+        except RecursionError:
+            diagnostics.append(f"publications line {lineno}: malformed JSON (nested too deeply)")
+            continue
+        if not isinstance(raw, dict):
+            diagnostics.append(f"publications line {lineno}: expected an object")
+            continue
+        record, found = validate_record(raw)
+        if found:
+            diagnostics += [f"publications line {lineno} (record {raw.get('id', '?')}): {d}" for d in found]
+        elif record.id in seen:
+            diagnostics.append(f"publications line {lineno}: duplicate publication id {record.id!r}")
+        else:
+            seen.add(record.id)
+            records.append(record)
+    orgs = {oid: parent for oid, _, _, parent in INGEST_ORGS}
+    fields = {f for r in records for f in r.field_ids} | {f for *_, fs in INGEST_JOURNALS for f in fs}
+    atts = [a for r in records for a in r.attributions]
+    dangling = (
+        ("journal", {r.journal_id for r in records} - {j for j, *_ in INGEST_JOURNALS}),
+        ("field", fields - set(INGEST_SCHEME)),
+        ("organization", {a.org_id for a in atts if a.org_id not in orgs}
+         | {a.subunit_id for a in atts if a.subunit_id is not None and orgs.get(a.subunit_id, "") != a.org_id}),
+    )
+    references = [f"dangling {what} reference(s): " + ", ".join(sorted(names)) for what, names in dangling if names]
+    return records, diagnostics, references
+
+
+def parse_text(text: str):
+    return parse_corpus(
+        io.StringIO(text),
+        io.StringIO(journals_csv(INGEST_JOURNALS)),
+        io.StringIO(orgs_csv(INGEST_ORGS)),
+        io.StringIO(scheme_csv(INGEST_SCHEME)),
+    )
+
+
+@given(publication_lines())
+@settings(max_examples=300, deadline=None)
+def test_ingest_matches_validate_record_line_by_line(text):
+    records, diagnostics, references = ingest_oracle(text)
+    assert parse_publications(io.StringIO(text)) == (records, diagnostics)
+    if diagnostics or references:
+        with pytest.raises(CorpusValidationError) as exc:
+            parse_text(text)
+        assert exc.value.diagnostics == diagnostics + references
+    else:
+        corpus = parse_text(text)
+        in_order = sorted(records, key=lambda r: r.id)
+        assert corpus.records == tuple(in_order)
+        assert_columns_equal(corpus.columns, record_columns(in_order))
+
+
+def test_ingest_sorts_ids_in_python_string_order():
+    ids = ["p1\x00", "p\U0001F600", "p1", "p\uffff", "p1\x00\x00", "\U0001F600", "p"]
+    corpus = parse_text(jsonl([pub(i, journal="J1") for i in ids]))
+    assert [r.id for r in corpus.records] == sorted(ids)
+    assert corpus.columns.ids == tuple(sorted(ids))
+    records = tuple(corpus.records)
+    assert corpus.records[-1] == records[-1] and corpus.records[1:5:2] == records[1:5:2]
+    with pytest.raises(IndexError):
+        corpus.records[len(ids)]
+
+
+def reparsed(text: str, journals=JOURNALS, orgs=ORGS, scheme=SCHEME):
+    return parse_corpus(
+        io.StringIO(text),
+        io.StringIO(journals_csv(journals)),
+        io.StringIO(orgs_csv(orgs)),
+        io.StringIO(scheme_csv(scheme)),
+    )
+
+
+def written(corpus) -> str:
+    buf = io.StringIO()
+    write_publications_jsonl(corpus, buf)
+    return buf.getvalue()
+
+
+def dumped(corpus) -> str:
+    """The writer's definition: each record, in id order, as `json.dumps` of its keys."""
+    lines = []
+    for r in corpus.records:
+        raw = {"id": r.id, "year": r.year, "doc_type": r.doc_type.value, "journal": r.journal_id,
+               "fields": list(r.field_ids), "citations": r.citations, "addresses": list(r.addresses)}
+        if r.attributions:
+            raw["attributions"] = [
+                {"org": a.org_id, "subunit": a.subunit_id, "weight": f"{a.weight.numerator}/{a.weight.denominator}"}
+                for a in r.attributions
+            ]
+        lines.append(json.dumps(raw) + "\n")
+    return "".join(lines)
+
+
+@given(records)
+@settings(max_examples=60, deadline=None)
+def test_write_parse_write_is_byte_identical(drawn):
+    pubs = [
+        pub(f"p{i:02d}", year=year, fields=fields, citations=cites, addresses=addresses)
+        for i, (year, fields, cites, addresses) in enumerate(drawn)
+    ]
+    plain = mk_corpus(pubs, journals=JOURNALS, orgs=ORGS, scheme=SCHEME)
+    attributed = reconcile_corpus(plain, compile_rules(io.StringIO(RULES), plain.organizations)).corpus
+    for corpus in (plain, attributed):
+        text = written(corpus)
+        assert text == dumped(corpus)
+        again = reparsed(text)
+        assert written(again) == text
+        assert_columns_equal(again.columns, corpus.columns)
+
+
+@given(attributed_pubs())
+@settings(max_examples=100, deadline=None)
+def test_written_attributions_round_trip(pubs):
+    corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
+    text = written(corpus)
+    assert text == dumped(corpus)
+    assert written(reparsed(text, DIFF_JOURNALS)) == text
+    assert_columns_equal(corpus.columns, record_columns(corpus.records))
+
+
+def test_golden_fixture_columns_match_oracle():
+    src = Path(__file__).parent / "golden" / "fixture" / "input"
+    corpus = parse_corpus(src / "publications.jsonl", src / "journals.csv", src / "orgs.csv", src / "fields.csv")
+    result = reconcile_corpus(corpus, compile_rules(src / "rules.tsv", corpus.organizations)).corpus
+    assert any(result.columns.attribution_tuples)
+    for found in (corpus, result):
+        assert_columns_equal(found.columns, record_columns(found.records))
+        assert written(found) == dumped(found)
+
+
+def weights_oracle(corpus):
+    """`org_type_discipline_weights` by brute force: one `Fraction` addition
+    per record, attribution and discipline."""
+    discipline = corpus.field_scheme.field_to_discipline
+    w_td, w_d, w_t, total = {}, {}, {}, Fraction(0)
+    for rec in corpus.records:
+        for a in rec.attributions:
+            org_type = corpus.organizations[a.org_id].org_type
+            w_t[org_type] = w_t.get(org_type, Fraction(0)) + a.weight
+            total += a.weight
+            for d in {discipline[f] for f in rec.field_ids}:
+                w_td[(org_type, d)] = w_td.get((org_type, d), Fraction(0)) + a.weight
+                w_d[d] = w_d.get(d, Fraction(0)) + a.weight
+    return w_td, w_d, w_t, total
+
+
+@given(attributed_pubs())
+@settings(max_examples=100, deadline=None)
+def test_concentration_weights_match_oracle(pubs):
+    corpus = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME)
+    assert org_type_discipline_weights(corpus) == weights_oracle(corpus)
+
+
+def test_concentration_table_matches_oracle_bit_for_bit_on_criterion_6_world(tmp_path):
+    spec = build_world_spec(7301, n_fields=6, years=(2001, 2006), annual_volume=120, n_orgs=12, coauthor_rate=0.2)
+    generated = generate_corpus(spec, tmp_path)
+    corpus = load_generated(generated)
+    reconciled = reconcile_corpus(corpus, compile_rules(generated.rules, corpus.organizations)).corpus
+    w_td, w_d, w_t, total = weights_oracle(reconciled)
+    assert org_type_discipline_weights(reconciled) == (w_td, w_d, w_t, total)
+    expected = {
+        (t, d): float(concentration_index_from_shares(w_td.get((t, d), Fraction(0)) / w_d[d], w_t[t] / total)).hex()
+        for d in w_d for t in w_t
+    }
+    assert len(expected) == 18
+    assert {k: v.hex() for k, v in concentration_table(reconciled).items()} == expected
