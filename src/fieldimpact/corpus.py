@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -178,9 +177,6 @@ class RecordView(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def __repr__(self) -> str:
-        return f"RecordView({list(self)!r})"
-
 
 class CorpusSummary(NamedTuple):
     n_records: int
@@ -198,16 +194,9 @@ class Corpus:
     organizations: Mapping[str, Organization]
     field_scheme: FieldScheme
     census_date: date | None = None
-    # Values derived from the columns, kept by `cached`; `dataclasses.replace`
-    # makes a new corpus with none.
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
-
-    def cached(self, key: str, build):
-        """`build(self)`, computed on the first call for `key` and then kept:
-        the corpus is immutable, so it cannot go stale."""
-        if key not in self._derived:
-            self._derived[key] = build(self)
-        return self._derived[key]
+    # `indicators.concentration_index`'s table, set on first use;
+    # `dataclasses.replace` makes a new corpus without one.
+    _concentration: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def records(self) -> RecordView:
@@ -694,12 +683,8 @@ def parse_corpus(
     org_registry = load_organizations(orgs)
     scheme = load_field_scheme(field_scheme)
     cols, diagnostics = _read_columns(publications)
-    # Python string order; a numpy str array would drop trailing NULs. When
-    # every line was kept and the ids came sorted, every value is used and
-    # the codes already count in order of first appearance.
-    order = sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
-    if diagnostics or order != list(range(len(order))):
-        cols = select(cols, np.array(order, np.intp))
+    # Python string order; a numpy str array would drop trailing NULs.
+    cols = select(cols, np.array(sorted(range(len(cols.ids)), key=cols.ids.__getitem__), np.intp))
 
     dangling_journals = set(cols.journals).difference(journal_registry)
     field_refs = {f for t in cols.field_tuples for f in t}
@@ -753,10 +738,9 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
     rows = zip(cols.ids, cols.year.tolist(), cols.doc_type.tolist(), cols.journal.tolist(), cols.fields.tolist(),
                cols.citations.tolist(), cols.addresses.tolist(), cols.attributions.tolist())
     with _open_out(destination) as fh:
-        while chunk := list(islice(rows, 1 << 14)):
-            fh.write("".join([
-                f'{{"id": {encode_id(i)}, "year": {years[y]}, "doc_type": {doc_types[d]}, '
-                f'"journal": {journals[j]}, "fields": {fields[f]}, "citations": {c}, '
-                f'"addresses": {addresses[a]}{attributions[t]}}}\n'
-                for i, y, d, j, f, c, a, t in chunk
-            ]))
+        fh.writelines(
+            f'{{"id": {encode_id(i)}, "year": {years[y]}, "doc_type": {doc_types[d]}, '
+            f'"journal": {journals[j]}, "fields": {fields[f]}, "citations": {c}, '
+            f'"addresses": {addresses[a]}{attributions[t]}}}\n'
+            for i, y, d, j, f, c, a, t in rows
+        )

@@ -361,7 +361,10 @@ def concentration_index(corpus: Corpus, org_type: OrgType | str, discipline: str
     looked up in the corpus's `concentration_table`, built once per corpus."""
     if isinstance(org_type, str):
         org_type = OrgType(org_type)
-    table = corpus.cached("concentration_table", concentration_table)
+    table = corpus._concentration
+    if table is None:
+        table = concentration_table(corpus)
+        object.__setattr__(corpus, "_concentration", table)
     if (org_type, discipline) not in table:
         if all(d != discipline for _, d in table):
             raise IndicatorError(f"discipline {discipline!r} has no attributed publications")

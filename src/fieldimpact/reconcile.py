@@ -20,7 +20,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .columns import renumber, segments
+from .columns import renumber
 from .corpus import Attribution, Corpus, CorpusError, CorpusValidationError, Organization, _open_text
 from .reporting import Table, emit
 
@@ -265,10 +265,11 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     `threads` is accepted for compatibility and has no effect.
     """
     cols = corpus.columns
-    n_records = np.bincount(cols.addresses, minlength=len(cols.address_lists)).tolist()
-    # Each list's records in id order; every code names at least one record.
-    order, starts = segments(cols.addresses)
-    starts = starts.tolist()
+    n_records = np.bincount(cols.addresses, minlength=len(cols.address_lists))
+    # Each list's records in id order; list c's run starts after those of codes below c.
+    order = np.argsort(cols.addresses, kind="stable")
+    starts = (np.cumsum(n_records) - n_records).tolist()
+    n_records = n_records.tolist()
     # Raw address strings repeat heavily in real exports; memoizing the
     # normalization and the first-match target (None: no rule matched)
     # keeps the per-address cost at two dict lookups.
@@ -284,6 +285,9 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     list_attributions: list[int] = []
 
     for code, (addresses, n) in enumerate(zip(cols.address_lists, n_records)):
+        if not n:  # a list no record carries
+            list_attributions.append(0)
+            continue
         matches = []
         for raw in addresses:
             normalized = norm_cache.get(raw)

@@ -1,6 +1,7 @@
 import io
 import re
 import unicodedata
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,26 @@ class TestReconcileCorpus:
         assert set(by_addr["nowhere inst"].sample_ids) == {"p1", "p2"}
         assert result.stats.match_rate == pytest.approx(0.25)
         assert result.stats.n_unattributed == 2
+
+    def test_address_lists_no_record_carries_are_ignored(self):
+        corpus = mk_corpus(
+            [
+                pub("p1", addresses=["nowhere inst"]),
+                pub("p2", addresses=["org alpha"]),
+                pub("p3", addresses=["elsewhere"]),
+            ],
+            orgs=ORGS3,
+        )
+        cols = corpus.columns
+        # Columns built by hand may hold a distinct list that no record carries.
+        padded = replace(corpus, columns=cols._replace(
+            addresses=cols.addresses + 1, address_lists=(("unused place", "org beta"),) + cols.address_lists,
+        ))
+        rs = ruleset("org alpha\tORG_A\norg beta\tORG_B\n")
+        plain, found = reconcile_corpus(corpus, rs), reconcile_corpus(padded, rs)
+        assert found.corpus.records == plain.corpus.records
+        assert found.unmatched == plain.unmatched and found.stats == plain.stats
+        assert [e.sample_ids for e in found.unmatched.entries] == [("p3",), ("p1",)]
 
     def test_unmatched_records_keep_empty_attributions(self):
         corpus = mk_corpus([pub("p1", addresses=["mystery place"])], orgs=ORGS3)
