@@ -200,6 +200,11 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
                 f"benchmark CSV line {lineno}: {value_col} must be finite and non-negative, "
                 f"got {row[3].strip()!r}"
             )
+        if 0.0 < mean < 1 / n:  # a total of k >= 1 citations gives k / n >= 1 / n, rounding included
+            raise BenchmarkError(
+                f"benchmark CSV line {lineno}: {value_col} must be 0 or at least 1/n (n = {n}), "
+                f"got {row[3].strip()!r}"
+            )
         if (year, key) in cells:
             raise BenchmarkError(f"benchmark CSV line {lineno}: duplicate cell ({year}, {key})")
         cells[(year, key)] = BenchmarkCell(n, mean)

@@ -34,6 +34,7 @@ from .corpus import (
     CorpusValidationError,
     parse_corpus,
     write_publications_jsonl,
+    write_snapshot,
 )
 from .indicators import (
     _ORG_KEYS,
@@ -332,6 +333,7 @@ def _cmd_reconcile(args, config) -> int:
     out = _out_dir(args, config)
     reconciled_path = out / "publications.reconciled.jsonl"
     write_publications_jsonl(result.corpus, reconciled_path)
+    snapshot = write_snapshot(result.corpus, reconciled_path)
     unmatched_path = out / "unmatched.csv"
     result.unmatched.to_csv(unmatched_path)
     stats = result.stats
@@ -340,7 +342,7 @@ def _cmd_reconcile(args, config) -> int:
         f"{stats.matched_addresses}/{stats.total_addresses} addresses, "
         f"{stats.n_attributed}/{stats.n_records} records attributed"
     )
-    print(f"wrote {reconciled_path} and {unmatched_path}", file=sys.stderr)
+    print(f"wrote {reconciled_path}, its snapshot {snapshot.name} and {unmatched_path}", file=sys.stderr)
     return 0
 
 

@@ -8,11 +8,16 @@ and yields an immutable object that downstream stages (reconciliation,
 benchmarks, indicators) can share freely across threads. The columns
 are the corpus's only stored form of its records; `Corpus.records`
 builds `PublicationRecord` views from them on demand.
+
+`write_snapshot` stores a written JSONL's columns in a sibling file keyed
+by the JSONL's sha256; `parse_corpus` loads them instead of decoding the
+JSON while the key matches, and parses as usual on any mismatch.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import operator
@@ -28,7 +33,8 @@ from typing import IO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .columns import RecordColumns, encode, select
+from . import __version__
+from .columns import CODED, RecordColumns, encode, select
 
 
 class CorpusError(ValueError):
@@ -677,12 +683,15 @@ def parse_corpus(
     Record order is normalized to ascending id. Raises
     CorpusValidationError carrying every diagnostic found: malformed
     lines (with line numbers), constraint violations, duplicate ids and
-    dangling journal/field/organization references.
+    dangling journal/field/organization references. A publications path
+    whose snapshot (`write_snapshot`) matches its bytes is loaded from
+    the snapshot; the registries, the sort and the reference checks run
+    on either path.
     """
     journal_registry = load_journals(journals)
     org_registry = load_organizations(orgs)
     scheme = load_field_scheme(field_scheme)
-    cols, diagnostics = _read_columns(publications)
+    cols, diagnostics = _load_snapshot(publications) or _read_columns(publications)
     # Python string order; a numpy str array would drop trailing NULs.
     cols = select(cols, np.array(sorted(range(len(cols.ids)), key=cols.ids.__getitem__), np.intp))
 
@@ -728,13 +737,7 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
     journals = [dumps(j) for j in cols.journals]
     fields = [dumps(list(t)) for t in cols.field_tuples]
     addresses = [dumps(list(t)) for t in cols.address_lists]
-    attributions = [
-        ', "attributions": ' + dumps([
-            {"org": a.org_id, "subunit": a.subunit_id, "weight": f"{a.weight.numerator}/{a.weight.denominator}"}
-            for a in t
-        ]) if t else ""
-        for t in cols.attribution_tuples
-    ]
+    attributions = [', "attributions": ' + dumps(_attribution_items(t)) if t else "" for t in cols.attribution_tuples]
     rows = zip(cols.ids, cols.year.tolist(), cols.doc_type.tolist(), cols.journal.tolist(), cols.fields.tolist(),
                cols.citations.tolist(), cols.addresses.tolist(), cols.attributions.tolist())
     with _open_out(destination) as fh:
@@ -744,3 +747,124 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
             f'"addresses": {addresses[a]}{attributions[t]}}}\n'
             for i, y, d, j, f, c, a, t in rows
         )
+
+
+def _attribution_items(attributions: tuple[Attribution, ...]) -> list[dict]:
+    """An attribution tuple as the JSON list that ingest reads, weights as "n/d"."""
+    return [
+        {"org": a.org_id, "subunit": a.subunit_id, "weight": f"{a.weight.numerator}/{a.weight.denominator}"}
+        for a in attributions
+    ]
+
+
+#: Bump whenever ingest validation or the snapshot layout changes: a
+#: snapshot written under another value no longer loads.
+SNAPSHOT_FORMAT = 1
+# The stored arrays, in file order, as explicit little-endian bytes.
+_SNAPSHOT_ARRAYS = (*((code, np.dtype("<i4")) for code, _ in CODED), ("citations", np.dtype("<i8")))
+# Values per JSON line, so that no line, and no buffer that holds one,
+# grows with the corpus.
+_SNAPSHOT_LINE = 4096
+
+
+def snapshot_path(publications: str | Path) -> Path:
+    """The snapshot that belongs to a publications JSONL: its name plus `.snapshot`."""
+    path = Path(publications)
+    return path.with_name(path.name + ".snapshot")
+
+
+def _snapshot_key(publications: str | Path) -> bytes:
+    """A snapshot's first line: magic, format, version and the sha256 of the
+    JSONL's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(publications, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return f"fieldimpact-snapshot {SNAPSHOT_FORMAT} {__version__} {digest.hexdigest()}\n".encode()
+
+
+def write_snapshot(corpus: Corpus, publications: str | Path) -> Path:
+    """Store `corpus`'s columns next to `publications`, which must hold
+    `write_publications_jsonl(corpus)`, and return the snapshot's path.
+
+    After the key line, a JSON line holds the lengths of the ids and of the
+    six distinct-value tuples, and JSON lines of at most `_SNAPSHOT_LINE`
+    values each hold their values, in that order; the code and citation
+    arrays follow as raw bytes. The bytes are a function of the corpus alone.
+    """
+    cols = corpus.columns
+    tuples = (cols.ids, cols.years, cols.journals, [dt.value for dt in cols.doc_types], cols.field_tuples,
+              cols.address_lists, [_attribution_items(t) for t in cols.attribution_tuples])
+    path = snapshot_path(publications)
+    with open(path, "wb") as fh:
+        fh.write(_snapshot_key(publications))
+        fh.write(json.dumps([len(values) for values in tuples]).encode() + b"\n")  # ASCII, so one line
+        for values in tuples:
+            for i in range(0, len(values), _SNAPSHOT_LINE):
+                fh.write(json.dumps(values[i:i + _SNAPSHOT_LINE]).encode() + b"\n")
+        for name, dtype in _SNAPSHOT_ARRAYS:
+            fh.write(np.ascontiguousarray(getattr(cols, name), dtype))
+    return path
+
+
+def _load_snapshot(publications: PathOrIO) -> tuple[RecordColumns, list[str]] | None:
+    """The columns stored for a publications path, in file order with no
+    diagnostics, as `_read_columns` gives them; None (parse the JSONL) when
+    there is no snapshot, its key does not match the file, or its body is
+    not what `write_snapshot` writes."""
+    if not isinstance(publications, (str, Path)):
+        return None
+    try:
+        with open(snapshot_path(publications), "rb") as fh:
+            key = _snapshot_key(publications)
+            return (_snapshot_columns(fh), []) if fh.read(len(key)) == key else None
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None
+
+
+def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
+    """Decode the rest of a snapshot after its key line. Raises ValueError,
+    TypeError or KeyError for bad JSON, a value of the wrong type, a count
+    its lines do not hold, arrays whose length is not the id count, or a
+    code outside its values."""
+
+    def read_values(count: int) -> list:
+        found: list = []
+        while len(found) < count:
+            line = json.loads(fh.readline())
+            if type(line) is not list:
+                raise ValueError("snapshot line holds no list")
+            found += line
+        if len(found) != count:
+            raise ValueError("snapshot lines hold more values than their count")
+        return found
+
+    counts = json.loads(fh.readline())
+    ids, years, journals, doc_types, field_tuples, address_lists, attributions = map(read_values, counts)
+    ids, years, journals = tuple(ids), tuple(years), tuple(journals)
+    field_tuples, address_lists = tuple(map(tuple, field_tuples)), tuple(map(tuple, address_lists))
+    rejected: list[str] = []
+    attribution_tuples = tuple(_parse_attributions(t, rejected) for t in attributions)
+    if rejected or not (all(type(i) is str for i in ids) and all(type(y) is int for y in years)
+                        and all(type(j) is str for j in journals) and all(map(_valid_fields, field_tuples))
+                        and all(type(a) is str for t in address_lists for a in t)):
+        raise ValueError("snapshot value of the wrong type")
+    n, arrays = len(ids), {}
+    for name, dtype in _SNAPSHOT_ARRAYS:
+        array = np.empty(n, dtype)
+        if fh.readinto(array) != array.nbytes:
+            raise ValueError("snapshot arrays shorter than the id count")
+        arrays[name] = array.astype(dtype.newbyteorder("="), copy=False)
+    if fh.read(1):
+        raise ValueError("snapshot arrays longer than the id count")
+    cols = RecordColumns(
+        ids=ids, **arrays, years=years, journals=journals, doc_types=tuple(_DOC_TYPES[d] for d in doc_types),
+        field_tuples=field_tuples, address_lists=address_lists, attribution_tuples=attribution_tuples,
+    )
+    for code, values in CODED:
+        codes = getattr(cols, code)
+        if n and not 0 <= codes.min() <= codes.max() < len(getattr(cols, values)):
+            raise ValueError(f"snapshot {code} code out of range")
+    if n and not 0 <= cols.citations.min() <= cols.citations.max() < 2**53:
+        raise ValueError("snapshot citation count out of range")
+    return cols

@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
+from fieldimpact.columns import RecordColumns
 from fieldimpact.corpus import Corpus, parse_corpus
 from fieldimpact.reconcile import RuleConflict
 
@@ -85,6 +87,15 @@ def pub(
     }
     record.update(extra)
     return record
+
+
+def assert_columns_equal(found: RecordColumns, expected: RecordColumns):
+    """Every array equal in dtype and values, every tuple equal."""
+    for name, a, b in zip(RecordColumns._fields, found, expected):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
 
 
 def att(org: str, weight: str = "1", subunit: str | None = None) -> dict:

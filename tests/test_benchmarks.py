@@ -206,6 +206,17 @@ class TestCsvLoaderRejections:
         with pytest.raises(BenchmarkError, match=r"line 2: xcr must be finite and non-negative"):
             load_benchmark_csv(io.StringIO(self.HEADER + f"2003,F1,2,{mean}\n"), "field")
 
+    @pytest.mark.parametrize("n, mean", [(2, "5e-324"), (2, "0.49999999999999994"), (49, "0.02")])
+    def test_mean_below_one_over_n_rejected(self, n, mean):
+        with pytest.raises(BenchmarkError, match=rf"^benchmark CSV line 3: xcr must be 0 or at least 1/n "
+                                                 rf"\(n = {n}\), got '{mean}'$"):
+            load_benchmark_csv(io.StringIO(self.HEADER + f"2001,F1,1,2.0\n2003,F1,{n},{mean}\n"), "field")
+
+    def test_mean_of_one_citation_loads(self):
+        # 1/49 * 49 < 1 in floats; the bound is the float 1/49 itself.
+        table = load_benchmark_csv(io.StringIO(self.HEADER + f"2003,F1,49,{1 / 49!r}\n"), "field")
+        assert table.cells[(2003, "F1")] == (49, 1 / 49)
+
     def test_zero_mean_still_loads_as_degenerate_cell(self):
         table = load_benchmark_csv(io.StringIO(self.HEADER + "2003,F1,2,0.0\n"), "field")
         assert table.degenerate_cells() == ((2003, "F1"),)

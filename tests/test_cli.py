@@ -455,7 +455,8 @@ class TestBadInputDiagnostics:
                        "validation failed: 1 diagnostic(s)"]
 
     def test_non_finite_indicator_is_refused(self, tiny_corpus_files, capsys):
-        # A mean of 5e-324 is finite, but p2's 2 citations over it are not.
+        # A mean of 5e-324 is finite, but p2's 2 citations over it are not. No
+        # count table gives a mean of 2 counts below 1/2, so it is refused on read.
         xcr = self.write(tiny_corpus_files, "xcr.csv", "year,field_id,n,xcr\n2003,F1,2,5e-324\n")
         out = tiny_corpus_files["dir"] / "out"
         code, err = self.run(
@@ -463,8 +464,8 @@ class TestBadInputDiagnostics:
             capsys,
         )
         assert code == 1
-        assert err == ["error: column 'mean_cx' holds the non-finite value inf"]
-        assert list(out.iterdir()) == []
+        assert err == ["error: benchmark CSV line 2: xcr must be 0 or at least 1/n (n = 2), got '5e-324'"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, config",

@@ -17,7 +17,9 @@ the ``synth`` case (journals with full-precision impact factors, orgs,
 field scheme).
 
 The expected files are data, not a regeneration target: a change that
-alters them changes the engine's results.
+alters them changes the engine's results. They include the column
+snapshot that ``reconcile`` writes, which freezes its format; the chain
+is also run with that snapshot deleted after ``reconcile``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from fieldimpact.cli import dispatch
+from fieldimpact.corpus import snapshot_path
 from fieldimpact.synth import build_world_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,6 +38,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SLICES = ("nation", "org", "discipline,year", "field,year", "org,field", "subunit")
 RANK_METRICS = ("mean_cx", "top_decile_mean_cx")
 TREND_METRICS = "mean_cx,top_share_pct,mean_cjx,weight"
+SNAPSHOT = "publications.reconciled.jsonl.snapshot"
 
 
 def synth_inputs(tmp_path: Path) -> dict:
@@ -81,14 +85,17 @@ def corpus_args(inputs: dict, pubs: Path) -> list[str]:
     ]
 
 
-def run_chain(inputs: dict, out: Path) -> None:
-    """Run every frozen command, writing all outputs into ``out``."""
+def run_chain(inputs: dict, out: Path, keep_snapshot: bool = True) -> None:
+    """Run every frozen command, writing all outputs into ``out``; without
+    ``keep_snapshot``, later commands parse the reconciled JSONL."""
 
     def run(*argv: str) -> None:
         assert dispatch(list(argv)) == 0, argv
 
     run("reconcile", *corpus_args(inputs, inputs["pubs"]),
         "--rules", str(inputs["rules"]), "--out-dir", str(out))
+    if not keep_snapshot:
+        snapshot_path(out / "publications.reconciled.jsonl").unlink()
     run("benchmark", *corpus_args(inputs, inputs["pubs"]), "--out-dir", str(out))
     reconciled = corpus_args(inputs, out / "publications.reconciled.jsonl")
     bm = inputs["benchmark_opts"]
@@ -109,6 +116,18 @@ def test_golden_outputs_byte_identical(case, tmp_path):
     run_chain(INPUTS[case](tmp_path), out)
     expected_dir = GOLDEN / case / "expected"
     expected = sorted(p.name for p in expected_dir.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(INPUTS))
+def test_golden_outputs_without_snapshot_byte_identical(case, tmp_path):
+    """The snapshot is a cache: parsing the reconciled JSONL instead gives every other file unchanged."""
+    out = tmp_path / "out"
+    run_chain(INPUTS[case](tmp_path), out, keep_snapshot=False)
+    expected_dir = GOLDEN / case / "expected"
+    expected = sorted(p.name for p in expected_dir.iterdir() if p.name != SNAPSHOT)
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name

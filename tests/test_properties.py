@@ -1,7 +1,7 @@
 """Property tests over reconciliation, organizational slices, record
 order, benchmark CSV round trips, and `aggregate` and the benchmark
 tables against brute-force oracles; ingest, the record columns, the
-writer and the concentration weights against theirs.
+writer, the column snapshot and the concentration weights against theirs.
 
 Worlds are small: a handful of records whose addresses mix org-level,
 sub-unit and unmatched phrases, matched by a fixed rule file.
@@ -10,6 +10,7 @@ sub-unit and unmatched phrases, matched by a fixed rule file.
 import io
 import json
 import math
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,15 +32,15 @@ from fieldimpact.benchmarks import (
     load_benchmark_csv,
 )
 from fieldimpact.columns import RecordColumns
-from fieldimpact.corpus import (CorpusValidationError, parse_corpus, parse_publications, validate_record,
-                                write_publications_jsonl)
+from fieldimpact.corpus import (CorpusValidationError, _load_snapshot, parse_corpus, parse_publications,
+                                snapshot_path, validate_record, write_publications_jsonl, write_snapshot)
 from fieldimpact.indicators import (IndicatorRow, aggregate, concentration_index_from_shares, concentration_table,
                                     org_type_discipline_weights, write_indicator_csv, write_indicator_json)
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.reporting import RankingSpec, emit, rank
 from fieldimpact.synth import build_world_spec, generate_corpus, load_generated
 
-from conftest import att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, scheme_csv
+from conftest import assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, scheme_csv
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -157,13 +158,18 @@ def test_shuffled_publication_lines_give_identical_outputs(drawn, data):
 
 
 benchmark_keys = st.text(alphabet="AZaz09 ,\"_-\u00e9", min_size=1, max_size=6).map(str.strip).filter(bool)
+
+
+@st.composite
+def benchmark_cell(draw):
+    """A cell as the engine makes one: an integer citation total over n counts."""
+    n = draw(st.integers(min_value=1, max_value=10**6))
+    return BenchmarkCell(n, draw(st.integers(min_value=0, max_value=n * (2**53 - 1))) / n)
+
+
 benchmark_cells = st.dictionaries(
     st.tuples(st.integers(min_value=1900, max_value=2100), benchmark_keys),
-    st.builds(
-        BenchmarkCell,
-        st.integers(min_value=1, max_value=10**6),
-        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-    ),
+    benchmark_cell(),
     min_size=1,
     max_size=20,
 )
@@ -360,14 +366,6 @@ def record_columns(records) -> RecordColumns:
         np.array([r.citations for r in records], np.int64),
         years, journals, doc_types, field_tuples, address_lists, attribution_tuples,
     )
-
-
-def assert_columns_equal(found: RecordColumns, expected: RecordColumns):
-    for name, a, b in zip(RecordColumns._fields, found, expected):
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:
-            assert a == b, name
 
 
 @given(records)
@@ -629,6 +627,49 @@ def test_written_attributions_round_trip(pubs):
     assert text == dumped(corpus)
     assert written(reparsed(text, DIFF_JOURNALS)) == text
     assert_columns_equal(corpus.columns, record_columns(corpus.records))
+
+
+def assert_snapshot_loads_parsed_columns(corpus, journals=JOURNALS):
+    """The snapshot of `corpus`'s JSONL loads the columns that parsing it gives,
+    and `parse_corpus` gives the same corpus from either."""
+    def parse(path):
+        return parse_corpus(path, io.StringIO(journals_csv(journals)), io.StringIO(orgs_csv(ORGS)),
+                            io.StringIO(scheme_csv(SCHEME)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "publications.jsonl"
+        write_publications_jsonl(corpus, path)
+        write_snapshot(corpus, path)
+        loaded, diagnostics = _load_snapshot(path)
+        from_snapshot = parse(path).columns
+        snapshot_path(path).unlink()
+        assert _load_snapshot(path) is None
+        parsed = parse(path).columns
+    assert diagnostics == []
+    assert_columns_equal(loaded, parsed)
+    assert_columns_equal(from_snapshot, parsed)
+    assert all(type(a.weight) is Fraction for t in loaded.attribution_tuples for a in t)
+
+
+@given(records)
+@settings(max_examples=60, deadline=None)
+def test_snapshot_loads_parsed_columns(drawn):
+    pubs = [
+        pub(f"p{i:02d}", year=year, fields=fields, citations=cites, addresses=addresses)
+        for i, (year, fields, cites, addresses) in enumerate(drawn)
+    ]
+    plain = mk_corpus(pubs, journals=JOURNALS, orgs=ORGS, scheme=SCHEME)
+    assert_snapshot_loads_parsed_columns(plain)
+    assert_snapshot_loads_parsed_columns(
+        reconcile_corpus(plain, compile_rules(io.StringIO(RULES), plain.organizations)).corpus
+    )
+
+
+@given(attributed_pubs())
+@settings(max_examples=100, deadline=None)
+def test_snapshot_loads_parsed_attributions(pubs):
+    assert_snapshot_loads_parsed_columns(mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME),
+                                         DIFF_JOURNALS)
 
 
 def test_golden_fixture_columns_match_oracle():
