@@ -3,7 +3,7 @@
 Raw affiliation strings are normalized (lowercase, diacritics stripped,
 punctuation collapsed to single spaces) and matched against an ordered
 rule set; the first rule in file order whose pattern is a substring of
-the address wins (a 4-gram index only skips rules that cannot occur).
+the address wins (a token-start index only skips rules that cannot occur).
 Matched records receive fractional attribution weights summing to exactly 1.
 """
 
@@ -25,7 +25,8 @@ from .corpus import Attribution, Corpus, CorpusError, CorpusValidationError, Org
 from .reporting import Table, emit
 
 _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
-_Q = 4  # gram length of the rule index; shorter patterns are checked on every match
+_TABLE = {c: chr(c) if chr(c).isdigit() or chr(c).islower() else " " for c in range(128)}  # a missing code costs a KeyError
+_Q = 4  # key length of the rule index
 
 
 class RuleError(CorpusError):
@@ -39,9 +40,10 @@ def normalize_address(raw: str) -> str:
     punctuation/whitespace (and any other non-alphanumeric character)
     with a single space, and trims. Idempotent.
     """
-    if not raw.isascii():  # ASCII is NFKD-invariant and has no combining marks
-        raw = "".join(ch for ch in unicodedata.normalize("NFKD", raw)
-                      if not unicodedata.combining(ch))
+    if raw.isascii():  # ASCII is NFKD-invariant and has no combining marks
+        return " ".join(raw.lower().translate(_TABLE).split())
+    raw = "".join(ch for ch in unicodedata.normalize("NFKD", raw)
+                  if not unicodedata.combining(ch))
     return _NON_ALNUM_RE.sub(" ", raw.lower()).strip()
 
 
@@ -65,33 +67,42 @@ class RuleConflict:
     second: Rule
 
 
-def _grams(text: str) -> set[str]:
-    return {text[j : j + _Q] for j in range(len(text) - _Q + 1)}
+def _keys(text: str, grams: bool = False) -> set[str]:
+    """The first `_Q` characters of every token of `text` but the first, or
+    with `grams` every `_Q`-character substring of `text`."""
+    if grams:
+        return {text[j : j + _Q] for j in range(len(text) - _Q + 1)}
+    return {t[:_Q] for t in text.split(" ")[1:]}
 
 
-def _gram_index(rules: Sequence[Rule]) -> tuple[dict[str, list[int]], tuple[int, ...]]:
-    """Rule indices keyed by the pattern's rarest 4-gram (fewest distinct
-    patterns containing it, then the gram), and the shorter patterns."""
-    # Gram sets are rebuilt per rule, not kept: keeping 2,520 of them cost ~3 MB of peak RSS.
-    rarity = Counter(g for pattern in {r.pattern for r in rules} for g in _grams(pattern))
-    keyed: dict[str, list[int]] = {}
+def _key_index(rules: Sequence[Rule]) -> tuple[dict[str, list[int]], tuple[int, ...], bool]:
+    """Rule indices keyed by the rarest of the pattern's own keys (fewest distinct
+    patterns with it, then the key), the rules with none, and whether any keys are grams.
+
+    Own keys: the starts of the later tokens of `_Q` or more characters, else the
+    `_Q`-grams. Patterns are normalized, so wherever one occurs each later token
+    starts an item of `text.split(" ")`, and its start is in `_keys(text)`."""
+    patterns = {r.pattern for r in rules}
+    starts = {p: {k for k in _keys(p) if len(k) == _Q} for p in patterns}
+    own = {p: starts[p] or _keys(p, grams=True) for p in patterns}
+    rarity = Counter(k for keys in own.values() for k in keys)
+    keyed: dict[str | None, list[int]] = {}
     for i, rule in enumerate(rules):
-        if len(rule.pattern) >= _Q:
-            keyed.setdefault(min(_grams(rule.pattern), key=lambda g: (rarity[g], g)), []).append(i)
-    return keyed, tuple(i for i, rule in enumerate(rules) if len(rule.pattern) < _Q)
+        keyed.setdefault(min(own[rule.pattern], key=lambda k: (rarity[k], k), default=None), []).append(i)
+    return keyed, tuple(keyed.pop(None, ())), any(len(p) >= _Q and not starts[p] for p in patterns)
 
 
-def _candidates(index: tuple[dict[str, list[int]], tuple[int, ...]], text: str) -> list[int]:
+def _candidates(index: tuple[dict[str, list[int]], tuple[int, ...], bool], text: str) -> list[int]:
     """Ascending indices of the rules that may occur in `text`: a pattern
-    that occurs there has its key gram there too."""
-    keyed, short = index
-    return sorted(set(short).union(*map(keyed.get, keyed.keys() & _grams(text))))
+    that occurs there has its key among the text's keys too."""
+    keyed, always, grams = index
+    return sorted(set(always).union(*map(keyed.get, keyed.keys() & _keys(text, grams))))
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Ordered rules, the compile-time conflict report, and a gram index that
-    narrows `match` to candidates; it takes no part in equality, hash or repr."""
+    """Ordered rules, the compile-time conflict report, and a token-start index
+    that narrows `match` to candidates; it takes no part in equality, hash or repr."""
 
     rules: tuple[Rule, ...]
     conflicts: tuple[RuleConflict, ...]
@@ -100,7 +111,7 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         if self._index is None:
-            object.__setattr__(self, "_index", _gram_index(self.rules))
+            object.__setattr__(self, "_index", _key_index(self.rules))
 
     def match(self, normalized: str) -> Rule | None:
         """The first rule in file order whose pattern occurs in `normalized`."""
@@ -160,7 +171,7 @@ def compile_rules(
             seen.add(key)
             rules.append(Rule(pattern, sys.intern(org_id), subunit_id, lineno))
 
-    index = _gram_index(rules)
+    index = _key_index(rules)
     # A pattern's candidates include every pattern it contains; pairs sort in file order.
     pairs = sorted({(min(i, j), max(i, j)) for j, b in enumerate(rules)
                     for i in _candidates(index, b.pattern) if i != j
@@ -223,8 +234,9 @@ _SAMPLE_IDS = 5
 
 def _attributions_for(
     matches: list[tuple[str, str | None]], organizations: Mapping[str, Organization]
-) -> tuple[Attribution, ...]:
-    """Distinct targets weighted 1/m per organization, split over its sub-units.
+) -> tuple[tuple[str, str | None, int], ...]:
+    """Distinct targets weighted 1/m per organization, split over its sub-units,
+    as (org_id, subunit_id, k) triples of weight 1/k in attribution order.
 
     A target missing from `organizations`, or a sub-unit that belongs to
     another organization there (rules compiled against other registries),
@@ -243,7 +255,7 @@ def _attributions_for(
         raise CorpusValidationError(unknown)
     m = len(by_org)
     return tuple(
-        Attribution(org_id, subunit_id, Fraction(1, m * len(subunits)))
+        (org_id, subunit_id, m * len(subunits))
         for org_id, subunits in sorted(by_org.items())
         for subunit_id in sorted(subunits, key=lambda s: (s is not None, s or ""))
     )
@@ -260,7 +272,8 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     Records with no match get empty attributions, replacing any they
     carried. Each distinct address list is matched once, and each
     distinct address once, by `RuleSet.match`; each distinct match
-    profile is checked once against `corpus.organizations`. The result
+    profile is checked once against `corpus.organizations`, and each
+    distinct weighted target built once as an `Attribution`. The result
     shares every column with `corpus` but the attribution column.
     `threads` is accepted for compatibility and has no effect.
     """
@@ -279,9 +292,9 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     unmatched_lists: dict[str, set[int]] = {}  # the address lists that hold each
     total_addresses = matched_addresses = n_attributed = 0
     # Distinct match profiles are few: one attribution code per profile,
-    # and one per distinct attribution tuple.
+    # and one per distinct tuple of weighted targets.
     profile_codes: dict[tuple, int] = {}
-    attribution_codes: dict[tuple[Attribution, ...], int] = {(): 0}
+    attribution_codes: dict[tuple[tuple[str, str | None, int], ...], int] = {(): 0}
     list_attributions: list[int] = []
 
     for code, (addresses, n) in enumerate(zip(cols.address_lists, n_records)):
@@ -329,9 +342,11 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
         n_attributed=n_attributed,
         n_unattributed=len(cols.ids) - n_attributed,
     )
-    attributions, attribution_tuples = renumber(
+    attributions, weighted = renumber(
         np.array(list_attributions, np.int32)[cols.addresses], tuple(attribution_codes)
     )
+    made = {t: Attribution(t[0], t[1], Fraction(1, t[2])) for t in set().union(*weighted)}
+    attribution_tuples = tuple(tuple(map(made.__getitem__, ts)) for ts in weighted)
     columns = cols._replace(attributions=attributions, attribution_tuples=attribution_tuples)
     return ReconcileResult(
         corpus=replace(corpus, columns=columns),

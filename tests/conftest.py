@@ -114,7 +114,7 @@ def first_match_oracle(normalized: str, rules):
 
 def conflict_oracle(rules) -> tuple[RuleConflict, ...]:
     """Compare every pair of rules in file order: a conflict is one pattern
-    inside the other with different targets. Independent of the gram index."""
+    inside the other with different targets. Independent of the rule index."""
     return tuple(
         RuleConflict(a, b)
         for i, a in enumerate(rules.rules)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldimpact.corpus import CorpusValidationError
+from fieldimpact.corpus import Attribution, CorpusValidationError
 from fieldimpact.reconcile import (
+    ReconcileStats,
     RuleError,
     RuleSet,
     compile_rules,
@@ -59,6 +60,12 @@ class TestNormalize:
     @given(st.text(max_size=60) | st.text(st.characters(max_codepoint=127), max_size=60))
     def test_equals_two_step_reference(self, s):
         assert normalize_address(s) == two_step_normalize(s)
+
+    def test_every_short_ascii_string_equals_two_step_reference(self):
+        ascii_ = [chr(c) for c in range(128)]
+        some = " \t\n\x00\x7f!#-.,'/_09aZ"  # punctuation, spaces, controls, digits, letter edges
+        texts = ascii_ + [a + b for a in ascii_ for b in ascii_] + [a + b + c for a in some for b in some for c in some]
+        assert [t for t in texts if normalize_address(t) != two_step_normalize(t)] == []
 
 
 class TestCompileRules:
@@ -120,6 +127,22 @@ class TestMatchAddress:
         assert rs.rules[1].source_line == 11
         assert match_address("the alpha site x", rs) == ("ORG_A", None)
 
+    def test_patterns_without_a_long_later_token_match_anywhere(self):
+        # "univ" is a first token, "of" and "pd" are short, "sapienza" is a single
+        # word: these are keyed by 4-grams, and "alpha beta" still by "beta".
+        rs = ruleset("alpha beta\tORG_A\nuniv of pd\tORG_B\nsapienza\tORG_TV\n")
+        for address in ("univ of pd", "dip univ of pd", "xuniv of pdz", "xuniv of pd lab"):
+            assert match_address(address, rs) == ("ORG_B", None)
+        assert match_address("univ of p d", rs) is None
+        for address in ("sapienza", "la sapienza roma", "unisapienzaroma"):
+            assert match_address(address, rs) == ("ORG_TV", None)
+        assert match_address("xalpha betax sapienza", rs) == ("ORG_A", None)
+
+    def test_first_token_mid_word_and_last_token_a_prefix(self):
+        rs = ruleset("roma tor vergata\tORG_TV\n")
+        assert match_address("xroma tor vergatax", rs) == ("ORG_TV", None)
+        assert match_address("roma tor  vergata", rs) is None
+
     @given(st.data())
     @settings(max_examples=60)
     def test_appending_rules_never_unmatches(self, data):
@@ -138,41 +161,82 @@ class TestMatchAddress:
             assert match_address(address, rs_after) == before
 
 
-# Patterns over a three-letter alphabet share 4-grams and nest in each other.
-PATTERN = st.text("abc ", min_size=1, max_size=9).filter(lambda p: p.strip())
+# Patterns over a three-letter alphabet share key prefixes and nest in each other.
+TOKEN = st.text("abc", min_size=1, max_size=7)
+SHORT_TOKEN = st.text("abc", min_size=1, max_size=3)
+LONG_TOKEN = st.text("abc", min_size=4, max_size=7)
+PATTERN = (st.text("abc ", min_size=1, max_size=9).filter(lambda p: p.strip())
+           | st.lists(TOKEN, min_size=1, max_size=4).map(" ".join))
 TARGET = st.sampled_from(["ORG_A", "ORG_B", "ORG_TV"])
+CONTEXT = st.text("abc ", max_size=4)  # around a pattern: mid-word, at a word start, or after runs of spaces
 
 
 @st.composite
 def rule_files(draw):
-    """Rule lines that always hold a pattern shorter than 4 characters, one
-    pattern with two targets, and one pattern nested in another."""
+    """Rule lines that always hold a pattern shorter than 4 characters (always
+    a candidate), a pattern keyed by a later token of 4 or more, a pattern
+    whose later tokens are all shorter (keyed by a 4-gram, like "univ of pd"),
+    a single word of 4 or more, one pattern with two targets, and one pattern
+    nested in another."""
     lines = draw(st.lists(st.tuples(PATTERN, TARGET), max_size=25))
-    short = draw(st.text("abc", min_size=1, max_size=3))
+    short = draw(SHORT_TOKEN)
+    keyed = " ".join(draw(st.lists(TOKEN, min_size=1, max_size=2)) + [draw(LONG_TOKEN)])
+    unkeyed = " ".join([draw(TOKEN)] + draw(st.lists(SHORT_TOKEN, min_size=1, max_size=3)))
     twice = draw(PATTERN)
     inner = draw(PATTERN)
-    special = [(short, draw(TARGET)), (twice, "ORG_A"), (twice, "ORG_B"), (inner, draw(TARGET)),
+    special = [(short, draw(TARGET)), (keyed, draw(TARGET)), (unkeyed, draw(TARGET)),
+               (draw(LONG_TOKEN), draw(TARGET)),
+               (twice, "ORG_A"), (twice, "ORG_B"), (inner, draw(TARGET)),
                (draw(PATTERN) + inner + draw(PATTERN), draw(TARGET))]
     for line in special:
         lines.insert(draw(st.integers(0, len(lines))), line)
     return "".join(f"{p}\t{t}\n" for p, t in lines)
 
 
-class TestGramIndex:
-    """The gram index against the linear first-match scan and the pairwise conflict check."""
+def keyed_at_token_starts(text):
+    """The rule lines whose patterns the index keys without 4-grams: shorter
+    than 4, or with a later token of 4 or more characters."""
+    lines = [line for line in text.splitlines(keepends=True)
+             if len(p := normalize_address(line.split("\t")[0])) < 4
+             or any(len(t) >= 4 for t in p.split(" ")[1:])]
+    return "".join(lines)
 
-    @given(rule_files(), st.lists(st.text("abc ", max_size=24), max_size=8))
+
+class TestTokenIndex:
+    """The token-start index, with and without 4-gram keys, against the linear
+    first-match scan and the pairwise conflict check."""
+
+    @given(rule_files(), st.lists(st.text("abc ", max_size=24), max_size=8), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_match_equals_linear_oracle(self, text, addresses):
-        rs = ruleset(text)
-        for address in [normalize_address(a) for a in addresses] + [r.pattern for r in rs.rules]:
-            assert rs.match(address) is first_match_oracle(address, rs)
+    def test_match_equals_linear_oracle(self, text, addresses, data):
+        self.check_match(ruleset(text), addresses, data)
+        self.check_match(ruleset(keyed_at_token_starts(text)), addresses, data)
+
+    def check_match(self, rs, addresses, data):
+        # Each pattern inside other text: its first token may sit mid-word, its
+        # last may be the prefix of a longer word, and spaces may run around it.
+        embedded = [data.draw(CONTEXT) + r.pattern + data.draw(CONTEXT) for r in rs.rules]
+        raw = addresses + embedded  # also passed unnormalized, with runs of spaces
+        texts = [normalize_address(a) for a in raw] + [r.pattern for r in rs.rules] + raw
+        # Every suffix of the rules too, so that each rule in turn is the first that can match.
+        for tail in [rs] + [RuleSet(rs.rules[k:], ()) for k in range(1, len(rs.rules))]:
+            for address in texts:
+                assert tail.match(address) is first_match_oracle(address, tail)
 
     @given(rule_files())
     @settings(max_examples=150, deadline=None)
     def test_conflicts_equal_pairwise_oracle(self, text):
-        rs = ruleset(text)
-        assert rs.conflicts == conflict_oracle(rs)
+        for rs in (ruleset(text), ruleset(keyed_at_token_starts(text))):
+            assert rs.conflicts == conflict_oracle(rs)
+
+    @given(rule_files())
+    @settings(max_examples=60, deadline=None)
+    def test_only_patterns_shorter_than_4_are_tried_on_every_text(self, text):
+        for text in (text, keyed_at_token_starts(text)):
+            rs = ruleset(text)
+            _, always, grams = rs._index
+            assert [rs.rules[i] for i in always] == [r for r in rs.rules if len(r.pattern) < 4]
+            assert grams == (text != keyed_at_token_starts(text))  # texts are looked up by 4-grams
 
     @given(rule_files())
     @settings(max_examples=60, deadline=None)
@@ -186,7 +250,78 @@ class TestGramIndex:
             assert rebuilt.match(rule.pattern) is first.match(rule.pattern)
 
 
+SUBUNIT_ORGS = ORGS3 + [("SUB1", "Sub One", "RI", "ORG_B"), ("SUB2", "Sub Two", "RI", "ORG_B"),
+                        ("SUB3", "Sub Three", "U", "ORG_A")]
+SUBUNIT_TARGETS = st.sampled_from([("ORG_A", None), ("ORG_B", None), ("ORG_TV", None),
+                                   ("ORG_B", "SUB1"), ("ORG_B", "SUB2"), ("ORG_A", "SUB3")])
+
+
+@st.composite
+def reconcile_cases(draw):
+    """A rule file, and records in shuffled id order whose address lists
+    repeat, reordered and with duplicate addresses."""
+    lines = draw(st.lists(st.tuples(PATTERN, SUBUNIT_TARGETS), min_size=1, max_size=10))
+    rules = "".join(f"{p}\t{org}\t{sub or ''}\n" for p, (org, sub) in lines)
+    inside = st.builds(lambda left, p, right: left + p.upper() + right,
+                       CONTEXT, st.sampled_from([p for p, _ in lines]), CONTEXT)
+    pool = draw(st.lists(st.text("abcAB ,.-", min_size=1, max_size=10) | inside, min_size=1, max_size=8))
+    lists = draw(st.lists(st.lists(st.sampled_from(pool), max_size=4), min_size=1, max_size=5))
+    pubs = []
+    for i in range(draw(st.integers(1, 14))):
+        base = draw(st.sampled_from(lists))
+        addresses = draw(st.permutations(base))
+        if base and draw(st.booleans()):
+            addresses.insert(draw(st.integers(0, len(addresses))), draw(st.sampled_from(base)))
+        pubs.append(pub(f"p{i:02d}", addresses=addresses))
+    return rules, draw(st.permutations(pubs))
+
+
+def reconcile_oracle(corpus, rules):
+    """Each record on its own, in id order, by the linear first-match scan:
+    its attributions (1/m per organization, split over its sub-units; in
+    organization order, an organization before its sub-units), the stats,
+    and each unmatched address's count and first sample ids."""
+    attributions, unmatched = {}, {}
+    total = matched = attributed = 0
+    for rec in sorted(corpus.records, key=lambda r: r.id):
+        by_org: dict[str, set] = {}
+        for raw in rec.addresses:
+            normalized = normalize_address(raw)
+            rule = first_match_oracle(normalized, rules)
+            total += 1
+            if rule is None:
+                count, ids = unmatched.get(normalized, (0, []))
+                unmatched[normalized] = (count + 1, ids if rec.id in ids else ids + [rec.id])
+            else:
+                matched += 1
+                by_org.setdefault(rule.org_id, set()).add(rule.subunit_id)
+        attributed += bool(by_org)
+        attributions[rec.id] = tuple(
+            Attribution(org, sub, Fraction(1, len(by_org) * len(subs)))
+            for org, subs in sorted(by_org.items())
+            for sub in sorted(subs, key=lambda s: (s is not None, s or ""))
+        )
+    n = len(corpus.records)
+    stats = ReconcileStats(total, matched, n, attributed, n - attributed)
+    entries = sorted(((a, count, tuple(ids[:5])) for a, (count, ids) in unmatched.items()),
+                     key=lambda e: (-e[1], e[0]))
+    return attributions, stats, entries
+
+
 class TestReconcileCorpus:
+    @given(reconcile_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_record_oracle(self, case):
+        text, pubs = case
+        corpus = mk_corpus(pubs, orgs=SUBUNIT_ORGS)
+        rs = ruleset(text, orgs=SUBUNIT_ORGS)
+        result = reconcile_corpus(corpus, rs)
+        attributions, stats, unmatched = reconcile_oracle(corpus, rs)
+        assert {r.id: r.attributions for r in result.corpus.records} == attributions
+        assert all(type(a.weight) is Fraction for r in result.corpus.records for a in r.attributions)
+        assert result.stats == stats
+        assert [(e.address, e.count, e.sample_ids) for e in result.unmatched.entries] == unmatched
+
     def corpus_two_orgs(self, addresses):
         return mk_corpus([pub("p1", addresses=addresses)], orgs=ORGS3)
 
