@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
@@ -141,10 +142,13 @@ def classify_top_journals(
     """Per field: top ceil(fraction * n) journals by impact factor, ties included.
 
     All journals sharing the boundary impact factor are included. Fields
-    known to the scheme but carrying no journals map to empty sets.
+    known to the scheme but carrying no journals map to empty sets. The
+    ceiling is taken of the decimal value of `fraction` times n, exactly.
     """
     if not 0 < fraction <= 1:
         raise BenchmarkError(f"fraction must be in (0, 1], got {fraction}")
+    # In floats 0.07 * 100 is 7.000000000000001, whose ceiling is 8.
+    cutoff = Fraction(str(fraction))
     journal_list = list(journals.values()) if isinstance(journals, Mapping) else list(journals)
     per_field: dict[str, list[Journal]] = {}
     for journal in journal_list:
@@ -160,7 +164,7 @@ def classify_top_journals(
             by_field[field_id] = frozenset()
             continue
         members.sort(key=lambda j: (-j.impact_factor, j.id))
-        k = math.ceil(fraction * len(members))
+        k = math.ceil(cutoff * len(members))
         boundary = members[k - 1].impact_factor
         by_field[field_id] = frozenset(j.id for j in members if j.impact_factor >= boundary)
     return TopJournalSet(by_field)

@@ -7,8 +7,11 @@ demand. Each code column indexes a tuple of the distinct values it
 stands for, numbered in order of first appearance, and every distinct
 value is used by some record. Benchmark tables, `aggregate`,
 reconciliation and the writer run over these columns; their per-value
-work (benchmark lookups, labels, weights, address matching, encoding)
-runs once per distinct value, never once per record.
+work (labels, weights, address matching, encoding) runs once per
+distinct value, never once per record. Looked-up values live in small
+arrays indexed by the codes themselves, such as `aggregate`'s
+[year x journal] journal rates, so a record's value is one fancy index
+away: `table[cols.year, cols.journal]`.
 """
 
 from __future__ import annotations
@@ -105,15 +108,3 @@ def exact_dtype(bound: int):
     """int64 when every exact sum stays below `bound` < 2**63; Python ints otherwise."""
     return np.int64 if bound < 2**63 else object
 
-
-def per_pair(a: np.ndarray, b: np.ndarray, n_b: int, value, dtype) -> np.ndarray:
-    """`value(i, j)` once per distinct code pair (a[k], b[k]), spread back over the rows."""
-    pairs = a.astype(np.int64)
-    pairs *= n_b
-    pairs += b
-    order, starts = segments(pairs)
-    values = np.array([value(*divmod(p, n_b)) for p in pairs[order[starts]].tolist()], dtype)
-    del pairs
-    out = np.empty(len(order), dtype)
-    out[order] = np.repeat(values, np.diff(np.append(starts, len(order))))
-    return out

@@ -13,12 +13,18 @@ summation, so results do not depend on evaluation order or thread count.
 
 `aggregate` is one numpy kernel over the corpus's record columns. It
 expands every record into one row per (context, share), groups the rows
-by one stable sort and reduces each group. Its exactness contract:
+by one stable sort and reduces each group. Benchmark values come from
+tables indexed by column codes: expected rates per (year code, field set
+code), journal rates per (year code, journal code), and top-journal
+flags per (journal code, field code), OR-reduced over each record's
+fields. Weights and slice labels are made once per distinct attribution.
+Its exactness contract:
 
 - the float expressions are those of the scalar definition: one rate
-  `_mean_expected_rate(...)` per (year, fields) cell, `citations / rate`,
-  `(numerator / denominator) * ratio`, and one `math.fsum` per group,
-  which is correctly rounded, so the grouping order cannot move a bit;
+  `_mean_expected_rate(...)` per (year, field set) cell that some row
+  uses, `citations / rate`, `(numerator / denominator) * ratio`, and one
+  `math.fsum` per group, which is correctly rounded, so the grouping
+  order cannot move a bit;
 - exact sums (weights, weighted citations, top-journal weights) are
   int64 numerators over the lcm, or Python ints when
   lcm * max(citations) * rows could reach 2**63;
@@ -42,7 +48,7 @@ from .benchmarks import (
     CitationBenchmarkTable,
     TopJournalSet,
 )
-from .columns import encode, exact_dtype, expand, per_pair, segments
+from .columns import RecordColumns, encode, exact_dtype, expand, segments
 from .corpus import Corpus, CorpusError, OrgType, PublicationRecord
 from .reporting import Table, emit
 
@@ -146,7 +152,7 @@ def aggregate(
     """
     keys = _validate_slice(slice_spec)
     cols = corpus.columns
-    years, journals, field_tuples = cols.years, cols.journals, cols.field_tuples
+    years, field_tuples = cols.years, cols.field_tuples
     discipline_of = corpus.field_scheme.discipline_of
 
     # Standardization contexts per distinct field tuple: the fields whose
@@ -161,40 +167,45 @@ def aggregate(
         ]
     else:
         contexts = [[(t, {})] for t in field_tuples]
-    # Shares per distinct attribution tuple: float weight, exact weight over
-    # `scale`, and slice values. Off organizational slices every record has
-    # one share of 1; on them an unattributed record has none.
+    # Shares per distinct attribution, keyed by its plain values: float
+    # weight, exact weight over `scale`, and slice values. `share_of_item`
+    # names the share of every item of the attribution tuples laid end to
+    # end. Off organizational slices every record has one share of 1; on
+    # them an unattributed record has none.
     if any(k in _ORG_KEYS for k in keys):
-        scale = math.lcm(*{a.weight.denominator for t in cols.attribution_tuples for a in t})
+        share_of_item, distinct = encode(
+            (a.org_id, a.subunit_id, a.weight.numerator, a.weight.denominator)
+            for t in cols.attribution_tuples for a in t
+        )
+        scale = math.lcm(*{den for _, _, _, den in distinct})
         org_type = {org.id: org.org_type.value for org in corpus.organizations.values()}
-        shares = [
-            [(
-                a.weight.numerator / a.weight.denominator,
-                a.weight.numerator * (scale // a.weight.denominator),
-                {
-                    "org_type": org_type[a.org_id],
-                    "org": a.org_id,
-                    # An org-level share is labelled with its organization;
-                    # org and sub-unit ids share one registry.
-                    "subunit": a.subunit_id or a.org_id,
-                },
-            ) for a in t]
-            for t in cols.attribution_tuples
-        ]
-        share_of = cols.attributions
+        shares = [(
+            num / den,
+            num * (scale // den),
+            # An org-level share is labelled with its organization; org and
+            # sub-unit ids share one registry.
+            {"org_type": org_type[org], "org": org, "subunit": subunit or org},
+        ) for org, subunit, num, den in distinct]
+        share_of, n_shares = cols.attributions, [len(t) for t in cols.attribution_tuples]
     else:
-        scale, shares, share_of = 1, [[(1.0, 1, {})]], np.zeros(len(cols.citations), np.int32)
+        scale, shares, share_of_item, n_shares = 1, [(1.0, 1, {})], np.zeros(1, np.int32), [1]
+        share_of = np.zeros(len(cols.citations), np.int32)
 
     # Context rows, one per record x context, and their ratios; NaN marks a
-    # missing or degenerate benchmark cell.
+    # missing or degenerate benchmark cell. The rate of every (year, field
+    # set) cell that some context row uses is computed once.
     crec, cid = expand(cols.fields, [len(c) for c in contexts])
     contexts = [c for cs in contexts for c in cs]
     sub_of, subs = encode(fields for fields, _ in contexts)
-    rates = per_pair(cols.year[crec], sub_of[cid], len(subs),
-                     lambda y, s: _or_nan(_mean_expected_rate, years[y], subs[s], benchmarks.xcr), float)
+    cell_year, cell_sub = cols.year[crec], sub_of[cid]
+    used = np.zeros((len(years), len(subs)), bool)
+    used[cell_year, cell_sub] = True
+    rate = np.full(used.shape, math.nan)
+    for y, s in zip(*np.nonzero(used)):
+        rate[y, s] = _or_nan(_mean_expected_rate, years[y], subs[s], benchmarks.xcr)
     with np.errstate(over="ignore"):
-        ratio = cols.citations[crec] / rates
-    del rates
+        ratio = cols.citations[crec] / rate[cell_year, cell_sub]
+    del cell_year, cell_sub, used
     # Group code: mixed radix over the slice's record, context and share values.
     code, span = np.zeros(len(crec), np.int64), 1
     if "year" in keys:
@@ -207,10 +218,11 @@ def aggregate(
     # Rows, one per context row x share: record-major, so within a group
     # records keep corpus order after a stable sort, and a record's first
     # touch of the group starts a run of its record index.
-    row_ctx, sid = expand(share_of[crec], [len(s) for s in shares])
-    shares = [s for ss in shares for s in ss]
-    if not len(sid):
+    row_ctx, item = expand(share_of[crec], n_shares)
+    if not len(item):
         return []
+    sid = share_of_item[item]
+    del item
     label_of, labels = encode(tuple(v.get(k) for k in keys) for _, _, v in shares)
     code, span = _combine(code[row_ctx], span, label_of[sid], len(labels))
     order, starts = segments(code)
@@ -220,18 +232,13 @@ def aggregate(
     rec, ratio, sid, group_ctx = crec[pick], ratio[pick], sid[order], cid[pick[starts]]
     del row_ctx, order, pick, crec, cid
 
-    jrates = per_pair(cols.year, cols.journal, len(journals),
-                      lambda y, j: _or_nan(benchmarks.jxcr.expected, years[y], journals[j]), float)
-    is_top = per_pair(cols.journal, cols.fields, len(field_tuples),
-                      lambda j, t: top_set.is_top_for(journals[j], field_tuples[t]), bool)
     with np.errstate(over="ignore"):
-        cjx = (cols.citations / jrates)[rec]
+        cjx = (cols.citations / _journal_rates(cols, benchmarks.jxcr)[cols.year, cols.journal])[rec]
     valid = ~np.isnan(ratio)
     first = np.concatenate(([True], rec[1:] != rec[:-1]))
     first[starts] = True
-    top = is_top[rec] & valid
+    top = _is_top(cols, top_set)[rec] & valid
     top_cjx = top & ~np.isnan(cjx)
-    del jrates, is_top
 
     def total(x, dtype=None) -> list:
         return np.add.reduceat(x, starts, dtype=dtype).tolist()
@@ -301,6 +308,37 @@ def _combine(code: np.ndarray, span: int, label: np.ndarray, radix: int) -> tupl
     code *= radix
     code += label
     return code, span * radix
+
+
+def _journal_rates(cols: RecordColumns, jxcr: CitationBenchmarkTable) -> np.ndarray:
+    """Expected rate per (year code, journal code) of `cols`; NaN where the
+    jxcr cell is missing or degenerate."""
+    year_code = {y: i for i, y in enumerate(cols.years)}
+    journal_code = {j: i for i, j in enumerate(cols.journals)}
+    rates = np.full((len(cols.years), len(cols.journals)), math.nan)
+    for (year, journal), cell in jxcr.cells.items():
+        if cell.mean != 0.0 and year in year_code and journal in journal_code:
+            rates[year_code[year], journal_code[journal]] = cell.mean
+    return rates
+
+
+def _is_top(cols: RecordColumns, top_set: TopJournalSet) -> np.ndarray:
+    """Per record: is its journal top in any of its fields?
+
+    Flags come from a journal x field table, OR-reduced over each record's
+    own fields; every field tuple is non-empty.
+    """
+    field_of_item, fields = encode(f for t in cols.field_tuples for f in t)
+    field_code = {f: i for i, f in enumerate(fields)}
+    journal_code = {j: i for i, j in enumerate(cols.journals)}
+    flags = np.zeros((len(cols.journals), len(fields)), bool)
+    for field, members in top_set.by_field.items():
+        if field in field_code:
+            flags[[journal_code[j] for j in members if j in journal_code], field_code[field]] = True
+    lengths = np.array([len(t) for t in cols.field_tuples])
+    rec, item = expand(cols.fields, lengths)
+    counts = lengths[cols.fields]
+    return np.logical_or.reduceat(flags[cols.journal[rec], field_of_item[item]], np.cumsum(counts) - counts)
 
 
 def _or_nan(expected, *args) -> float:

@@ -233,32 +233,40 @@ _SAMPLE_IDS = 5
 
 
 def _attributions_for(
-    matches: list[tuple[str, str | None]], organizations: Mapping[str, Organization]
+    matches: list[tuple[str, str | None]],
+    organizations: Mapping[str, Organization],
+    known: dict[tuple[str, str | None], tuple],
 ) -> tuple[tuple[str, str | None, int], ...]:
     """Distinct targets weighted 1/m per organization, split over its sub-units,
     as (org_id, subunit_id, k) triples of weight 1/k in attribution order.
 
     A target missing from `organizations`, or a sub-unit that belongs to
     another organization there (rules compiled against other registries),
-    raises CorpusValidationError.
+    raises CorpusValidationError. `known` maps each target already found in
+    `organizations` to its sort key, and each one found is added to it, so
+    a caller that passes one dict for all its calls checks each target once.
     """
-    by_org: dict[str, set[str | None]] = {}
+    distinct = dict.fromkeys(matches)
     unknown = []
-    for org_id, subunit_id in dict.fromkeys(matches):
-        if org_id not in organizations or subunit_id is not None and (
-            getattr(organizations.get(subunit_id), "parent_id", None) != org_id
-        ):
-            target = org_id if subunit_id is None else f"{org_id}/{subunit_id}"
-            unknown.append(f"rule target {target} does not match the corpus's organizations")
-        by_org.setdefault(org_id, set()).add(subunit_id)
+    for target in distinct:
+        if target not in known:
+            org_id, subunit_id = target
+            if org_id in organizations and (
+                subunit_id is None or getattr(organizations.get(subunit_id), "parent_id", None) == org_id
+            ):
+                # Attribution order: by organization, its org-level share first.
+                known[target] = (org_id, subunit_id is not None, subunit_id or "")
+            else:
+                label = org_id if subunit_id is None else f"{org_id}/{subunit_id}"
+                unknown.append(f"rule target {label} does not match the corpus's organizations")
     if unknown:
         raise CorpusValidationError(unknown)
-    m = len(by_org)
-    return tuple(
-        (org_id, subunit_id, m * len(subunits))
-        for org_id, subunits in sorted(by_org.items())
-        for subunit_id in sorted(subunits, key=lambda s: (s is not None, s or ""))
-    )
+    targets = sorted(distinct, key=known.__getitem__)
+    n_targets: dict[str, int] = {}
+    for org_id, _ in targets:
+        n_targets[org_id] = n_targets.get(org_id, 0) + 1
+    m = len(n_targets)
+    return tuple((org_id, subunit_id, m * n_targets[org_id]) for org_id, subunit_id in targets)
 
 
 def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> ReconcileResult:
@@ -271,8 +279,8 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     1/m is split equally among them, so weights always sum to exactly 1.
     Records with no match get empty attributions, replacing any they
     carried. Each distinct address list is matched once, and each
-    distinct address once, by `RuleSet.match`; each distinct match
-    profile is checked once against `corpus.organizations`, and each
+    distinct address once, by `RuleSet.match`; each distinct matched
+    target is checked once against `corpus.organizations`, and each
     distinct weighted target built once as an `Attribution`. The result
     shares every column with `corpus` but the attribution column.
     `threads` is accepted for compatibility and has no effect.
@@ -294,6 +302,7 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     # Distinct match profiles are few: one attribution code per profile,
     # and one per distinct tuple of weighted targets.
     profile_codes: dict[tuple, int] = {}
+    known_targets: dict[tuple[str, str | None], tuple] = {}
     attribution_codes: dict[tuple[tuple[str, str | None, int], ...], int] = {(): 0}
     list_attributions: list[int] = []
 
@@ -322,7 +331,7 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
             profile = tuple(matches)
             attribution = profile_codes.get(profile)
             if attribution is None:
-                atts = _attributions_for(matches, corpus.organizations)
+                atts = _attributions_for(matches, corpus.organizations, known_targets)
                 attribution = profile_codes[profile] = attribution_codes.setdefault(atts, len(attribution_codes))
         list_attributions.append(attribution)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -76,7 +77,13 @@ def avg_annual_increase(series_values: Sequence[float]) -> float:
         raise GrowthError("growth needs at least two points")
     if any(v is None or v <= 0 for v in values):
         raise GrowthError("undefined growth: series contains non-positive values")
-    return ((values[-1] / values[0]) ** (1.0 / (len(values) - 1)) - 1.0) * 100.0
+    ratio, steps = values[-1] / values[0], len(values) - 1
+    growth = ratio ** (1.0 / steps) - 1.0
+    if growth == 0.0 and ratio != 1.0:
+        # The root of a ratio within a few ulps of 1 rounds to 1.0; the
+        # log keeps the sign of the change.
+        growth = math.log(ratio) / steps
+    return growth * 100.0
 
 
 #: Metrics eligible for growth statistics.

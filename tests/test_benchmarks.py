@@ -161,6 +161,18 @@ class TestTopJournals:
             assert top.by_field["F1"] == oracle["F1"]
             assert math.ceil(0.1 * n) <= len(top.by_field["F1"]) <= n
 
+    def test_cutoff_is_the_ceiling_of_the_decimal_fraction(self):
+        # 0.07 * 100 is 7.000000000000001 in floats; the cutoff must be 7.
+        journals = [journal(f"J{i:03d}", float(i + 1)) for i in range(100)]
+        assert len(classify_top_journals(journals, fraction=0.07).by_field["F1"]) == 7
+        # Exact oracle: fraction p/100 of n distinct impact factors keeps the
+        # ceil(p * n / 100) largest, computed in integers.
+        for n in range(1, 101):
+            for p in range(1, 101):
+                top = classify_top_journals(journals[:n], fraction=p / 100)
+                k = -(-p * n // 100)
+                assert top.by_field["F1"] == {f"J{i:03d}" for i in range(n - k, n)}, (n, p)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(BenchmarkError):
             classify_top_journals([journal("J1", 1.0)], fraction=0.0)

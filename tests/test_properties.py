@@ -59,7 +59,7 @@ RULES = (
     "gamma\tC\n"
 )
 PHRASES = ("Alpha", "Alpha Lab One", "Alpha Lab Two", "Beta", "Beta Station", "Gamma", "Nowhere")
-SCHEME = {"F1": "Physics", "F2": "Physics", "F3": "Biology"}
+SCHEME = {"F1": "Physics", "F2": "Physics", "F3": "Biology", "F4": "Physics"}
 YEARS = (2001, 2002)
 JOURNALS = [("J1", "Journal One", 1.0, sorted(SCHEME))]
 # Every (year, field) cell exists and is positive, so no context is excluded.
@@ -190,20 +190,28 @@ def test_benchmark_csv_round_trip_is_exact(kind, cells):
 
 
 # Differential test of `aggregate` against a brute-force oracle: multi-field
-# records over two disciplines and three document types, sub-unit shares of
-# 1/2, 1/3 and 1/6, unattributed records, and an xcr table missing one cell
-# with another degenerate. J3 is a top journal without a jxcr cell.
+# records over two disciplines (up to three fields in Physics) and three
+# document types, sub-unit shares of 1/2, 1/3 and 1/6, unattributed records,
+# and an xcr table missing one cell with another degenerate. One jxcr cell
+# is degenerate and J3 has none. Both tables hold cells of a year and a
+# journal (J9) that no record has, and the top set names J9 and a field
+# outside the scheme (F9). Each journal is top in some fields of the scheme
+# and not in others, so a record's top flag can come from any of its fields.
 
 TARGETS = (("A", None), ("A", "A_L1"), ("A", "A_L2"), ("B", None), ("B", "B_S"), ("C", None))
 SPLITS = ((), ("1",), ("1/2", "1/2"), ("1/3", "1/3", "1/3"), ("1/2", "1/3", "1/6"))
 DIFF_JOURNALS = [(j, f"Journal {j}", 1.0, sorted(SCHEME)) for j in ("J1", "J2", "J3")]
-DIFF_TOP = TopJournalSet({"F1": frozenset({"J1"}), "F2": frozenset({"J3"}), "F3": frozenset({"J2"})})
+DIFF_TOP = TopJournalSet({
+    "F1": frozenset({"J1", "J9"}), "F2": frozenset({"J3"}), "F3": frozenset({"J2"}), "F4": frozenset({"J2", "J3"}),
+    "F9": frozenset({"J1", "J2", "J3"}),
+})
 DIFF_SLICES = (
     ("nation",), ("org",), ("org_type",), ("subunit",),
     ("org", "field"), ("org_type", "discipline"), ("discipline", "year"),
     ("year",), ("doc_type",), ("field",), ("field", "year"), ("org", "doc_type"), ("subunit", "year"),
 )
 XCR_CELLS = [(y, f) for y in YEARS for f in sorted(SCHEME)]
+ABSENT_YEAR = 2003
 
 
 @st.composite
@@ -230,7 +238,10 @@ def gappy_tables(draw):
     removed, degenerate = draw(st.permutations(XCR_CELLS))[:2]
     means = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=len(XCR_CELLS), max_size=len(XCR_CELLS)))
     xcr = {c: BenchmarkCell(1, 0.0 if c == degenerate else m) for c, m in zip(XCR_CELLS, means) if c != removed}
-    jxcr = {(y, j): BenchmarkCell(1, m) for y in YEARS for j, m in (("J1", 2.0), ("J2", 0.75))}
+    jxcr = {(y, j): BenchmarkCell(1, m) for y in YEARS for j, m in (("J1", 2.0), ("J2", 0.75), ("J9", 1.5))}
+    jxcr[draw(st.sampled_from([(y, j) for y in YEARS for j in ("J1", "J2")]))] = BenchmarkCell(1, 0.0)
+    xcr.update({(ABSENT_YEAR, f): BenchmarkCell(1, 1.0) for f in SCHEME})
+    jxcr.update({(ABSENT_YEAR, j): BenchmarkCell(1, 1.0) for j in ("J1", "J2", "J3")})
     return BenchmarkTables(CitationBenchmarkTable("field", xcr), CitationBenchmarkTable("journal", jxcr))
 
 

@@ -67,6 +67,11 @@ class TestAvgAnnualIncrease:
         recombined = math.exp((cut * math.log(left) + (t - 1 - cut) * math.log(right)) / (t - 1))
         assert recombined == pytest.approx(whole, rel=1e-6)
 
+    def test_sign_kept_when_the_root_rounds_to_one(self):
+        # The endpoint ratio is 1 - 2**-52, whose fifth root rounds to 1.0.
+        assert avg_annual_increase([0.0010000000000000002, 1.0, 1.0, 1.0, 1.0, 0.001]) < 0
+        assert avg_annual_increase([0.001, 1.0, 1.0, 1.0, 1.0, 0.0010000000000000002]) > 0
+
     @given(st.lists(positive, min_size=2, max_size=8))
     def test_sign_matches_endpoints(self, values):
         rate = avg_annual_increase(values)
