@@ -84,6 +84,7 @@ def dispatch(argv: list[str]) -> int:
             print(f"usage error: unknown config key(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
             return 2
     try:
+        _check_threads(args, config)
         return args.handler(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -268,14 +269,13 @@ def _fraction(args, config) -> float:
     return fraction
 
 
-def _threads(args, config) -> int:
-    threads = _opt(args, config, "threads", 1, _integer)
-    if threads < 1:
+def _check_threads(args, config) -> None:
+    """--threads has no effect, but below 1 it is a usage error for every command."""
+    if _opt(args, config, "threads", 1, _integer) < 1:
         raise UsageError("--threads must be >= 1")
-    return threads
 
 
-def _apply_rules(corpus: Corpus, rules_path: str, threads: int):
+def _apply_rules(corpus: Corpus, rules_path: str):
     """Compile the rule file, report its warnings and conflicts on stderr, and reconcile."""
     rules = compile_rules(_in_path(rules_path, "--rules"), corpus.organizations)
     for warning in rules.warnings:
@@ -287,14 +287,12 @@ def _apply_rules(corpus: Corpus, rules_path: str, threads: int):
             f"line {conflict.second.source_line} ({conflict.second.pattern!r})",
             file=sys.stderr,
         )
-    return reconcile_corpus(corpus, rules, threads=threads)
+    return reconcile_corpus(corpus, rules)
 
 
 def _analysis_inputs(args, config, keys: tuple[str, ...]):
     """The corpus, benchmark tables and top-journal set for an analysis over
-    `keys`; an organizational key needs --rules or records with attributions.
-    --threads is checked for every slice before any input is read."""
-    threads = _threads(args, config)
+    `keys`; an organizational key needs --rules or records with attributions."""
     rules_path = _opt(args, config, "rules")
     organizational = any(k in _ORG_KEYS for k in keys)
     if rules_path and not organizational:
@@ -306,7 +304,7 @@ def _analysis_inputs(args, config, keys: tuple[str, ...]):
     corpus = _load_corpus(args, config)
     if organizational:
         if rules_path:
-            corpus = _apply_rules(corpus, rules_path, threads).corpus
+            corpus = _apply_rules(corpus, rules_path).corpus
         elif not any(corpus.columns.attribution_tuples):
             raise UsageError("organizational analysis needs --rules or records with attributions")
     xcr_csv = _opt(args, config, "xcr_csv")
@@ -328,8 +326,7 @@ def _cmd_validate(args, config) -> int:
 
 
 def _cmd_reconcile(args, config) -> int:
-    threads = _threads(args, config)
-    result = _apply_rules(_load_corpus(args, config), _req(args, config, "rules", "--rules"), threads)
+    result = _apply_rules(_load_corpus(args, config), _req(args, config, "rules", "--rules"))
     out = _out_dir(args, config)
     reconciled_path = out / "publications.reconciled.jsonl"
     write_publications_jsonl(result.corpus, reconciled_path)

@@ -725,12 +725,16 @@ def write_publications_jsonl(corpus: Corpus, destination: str | Path | IO[str]) 
     """Write records back to the publications JSONL format, in id order.
 
     Attributions, when present, are carried in an optional key with exact
-    fractional weights so reconciled corpora survive a round trip. Each
-    distinct year, doc type, journal, field tuple, address list and
-    attribution tuple is encoded once; per record only the id and the
-    citation count are. Each line reads as `json.dumps` of the record.
-    """
-    cols = corpus.columns
+    fractional weights so reconciled corpora survive a round trip."""
+    _write_columns(corpus.columns, destination)
+
+
+def _write_columns(cols: RecordColumns, destination: str | Path | IO[str]) -> None:
+    """The publications format's one encoder: a line per row of `cols`, in
+    column order. Each distinct year, doc type, journal, field tuple, address
+    list and attribution tuple is encoded once; per record only the id and the
+    citation count are. Each line reads as `json.dumps` of the record. A code
+    need only index its tuple: the tuples may hold values no row uses."""
     dumps, encode_id = json.dumps, json.encoder.encode_basestring_ascii
     years = [str(y) for y in cols.years]
     doc_types = [dumps(dt.value) for dt in cols.doc_types]
@@ -824,9 +828,9 @@ def _load_snapshot(publications: PathOrIO) -> tuple[RecordColumns, list[str]] | 
 
 def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
     """Decode the rest of a snapshot after its key line. Raises ValueError,
-    TypeError or KeyError for bad JSON, a value of the wrong type, a count
-    its lines do not hold, arrays whose length is not the id count, or a
-    code outside its values."""
+    TypeError or KeyError for bad JSON, a value of the wrong type, an empty
+    or repeated id, an empty journal id, a count its lines do not hold,
+    arrays whose length is not the id count, or a code outside its values."""
 
     def read_values(count: int) -> list:
         found: list = []
@@ -845,10 +849,10 @@ def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
     field_tuples, address_lists = tuple(map(tuple, field_tuples)), tuple(map(tuple, address_lists))
     rejected: list[str] = []
     attribution_tuples = tuple(_parse_attributions(t, rejected) for t in attributions)
-    if rejected or not (all(type(i) is str for i in ids) and all(type(y) is int for y in years)
-                        and all(type(j) is str for j in journals) and all(map(_valid_fields, field_tuples))
-                        and all(type(a) is str for t in address_lists for a in t)):
-        raise ValueError("snapshot value of the wrong type")
+    if rejected or not (all(type(i) is str and i for i in ids) and all(type(y) is int for y in years)
+                        and all(type(j) is str and j for j in journals) and all(map(_valid_fields, field_tuples))
+                        and all(type(a) is str for t in address_lists for a in t) and len(set(ids)) == len(ids)):
+        raise ValueError("snapshot value of the wrong type, empty or repeated")
     n, arrays = len(ids), {}
     for name, dtype in _SNAPSHOT_ARRAYS:
         array = np.empty(n, dtype)

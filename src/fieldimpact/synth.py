@@ -6,7 +6,8 @@ dispersion per field profile. Generation is a pure function of spec plus
 seed: the RNG is a fixed, named, portable generator (numpy PCG64) and
 its identity is recorded in the output metadata. Outputs are the four
 corpus files, a matching rule file for reconciliation, and a metadata
-echo.
+echo. Publications are written by the corpus writer, one (year, field)
+block of record columns at a time, so their format is spelled only there.
 """
 
 from __future__ import annotations
@@ -21,14 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import classify_top_journals, compute_benchmarks
-from .corpus import DEFAULT_DISCIPLINES, Corpus, CorpusError, parse_corpus
+from .columns import RecordColumns, encode
+from .corpus import DEFAULT_DISCIPLINES, Corpus, CorpusError, DocType, OrgType, _write_columns, parse_corpus
 from .indicators import IndicatorRow, aggregate
 from .reconcile import compile_rules, normalize_address, reconcile_corpus
 from .reporting import Table, emit
 
 GENERATOR_NAME = "numpy-PCG64"
 
-_DOC_TYPES = ("article", "proceedings", "review")
+# In `SynthSpec.doc_type_weights` order.
+_DOC_TYPES = (DocType.ARTICLE, DocType.PROCEEDINGS, DocType.REVIEW)
 
 
 class SynthError(CorpusError):
@@ -84,7 +87,7 @@ class SynthOrg:
             raise SynthError(f"org {self.org_id!r}: name {self.name!r} is empty after normalization")
         if self.name.lstrip().startswith("#"):
             raise SynthError(f"org {self.org_id!r}: name {self.name!r} would read as a rules.tsv comment")
-        if self.org_type not in ("U", "RI", "H"):
+        if self.org_type not in {t.value for t in OrgType}:
             raise SynthError(f"org {self.org_id}: org_type must be U, RI or H")
         if not all(math.isfinite(w) and w >= 0 for w in self.field_mix.values()):
             raise SynthError(f"org {self.org_id}: field-mix weights must be finite and >= 0")
@@ -121,6 +124,8 @@ class SynthSpec:
             raise SynthError("duplicate field ids in profiles")
         for org in self.orgs:
             org.validate(field_ids)
+        if len({org.org_id for org in self.orgs}) != len(self.orgs):
+            raise SynthError("duplicate org ids")
         if not 0 <= self.coauthor_rate <= 1:
             raise SynthError("coauthor_rate must be in [0, 1]")
         if len(self.doc_type_weights) != len(_DOC_TYPES) or not all(
@@ -224,11 +229,11 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
 
     # Journals first so the draw order is independent of publication volume.
-    journal_ids: dict[str, list[str]] = {}
+    journal_ids: dict[str, tuple[str, ...]] = {}
     journal_rows = []
     for prof in spec.fields:
         ifs = rng.lognormal(prof.if_location, prof.if_sigma, prof.journal_count)
-        ids = [f"J_{prof.field_id}_{i:03d}" for i in range(prof.journal_count)]
+        ids = tuple(f"J_{prof.field_id}_{i:03d}" for i in range(prof.journal_count))
         journal_rows += [(jid, f"Journal of {prof.field_id} {i}", float(ifs[i]), prof.field_id)
                          for i, jid in enumerate(ids)]
         journal_ids[prof.field_id] = ids
@@ -249,7 +254,7 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
         for org in spec.orgs:
             fh.write(f"{org.name}\t{org.org_id}\n")
 
-    variants = {org.org_id: _address_variants(org.name, spec.address_variants) for org in spec.orgs}
+    variants = [_address_variants(org.name, spec.address_variants) for org in spec.orgs]
     n_orgs = len(spec.orgs)
     org_probs_by_field: dict[str, np.ndarray | None] = {}
     for prof in spec.fields:
@@ -270,34 +275,31 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
                 r = prof.dispersion
                 cits = rng.negative_binomial(r, r / (r + prof.mean_citations), n)
                 jidx = rng.integers(0, prof.journal_count, n)
-                didx = rng.choice(3, size=n, p=doc_p)
+                didx = rng.choice(len(_DOC_TYPES), size=n, p=doc_p)
+                zeros = np.zeros(n, np.int32)
+                addresses, address_lists = zeros, ((),)
                 probs = org_probs_by_field[prof.field_id]
                 if probs is not None:
                     primary = rng.choice(n_orgs, size=n, p=probs)
                     co_mask = rng.random(n) < spec.coauthor_rate
                     secondary = rng.choice(n_orgs, size=n, p=probs)
                     vidx = rng.integers(0, spec.address_variants, size=(n, 2))
-                jids = journal_ids[prof.field_id]
-                for i in range(n):
-                    addresses = []
-                    if probs is not None:
-                        a = spec.orgs[int(primary[i])].org_id
-                        addresses.append(variants[a][int(vidx[i, 0])])
-                        if co_mask[i]:
-                            b = spec.orgs[int(secondary[i])].org_id
-                            if b != a:
-                                addresses.append(variants[b][int(vidx[i, 1])])
-                    record = {
-                        "id": f"p{seq:08d}",
-                        "year": year,
-                        "doc_type": _DOC_TYPES[int(didx[i])],
-                        "journal": jids[int(jidx[i])],
-                        "fields": [prof.field_id],
-                        "citations": int(cits[i]),
-                        "addresses": addresses,
-                    }
-                    fh.write(json.dumps(record) + "\n")
-                    seq += 1
+                    # The co-author's address is added only when its org id differs;
+                    # ids are unique (`SynthSpec.validate`), so indices compare as ids.
+                    two_orgs = co_mask & (secondary != primary)
+                    pairs = zip(primary.tolist(), vidx.tolist(), secondary.tolist(), two_orgs.tolist())
+                    addresses, address_lists = encode(
+                        ((variants[a][va], variants[b][vb]) if two else (variants[a][va],)
+                         for a, (va, vb), b, two in pairs), n
+                    )
+                _write_columns(RecordColumns(
+                    ids=tuple(f"p{i:08d}" for i in range(seq, seq + n)), year=zeros, journal=jidx.astype(np.int32),
+                    doc_type=didx.astype(np.int32), fields=zeros, addresses=addresses, attributions=zeros,
+                    citations=cits, years=(year,), journals=journal_ids[prof.field_id],
+                    doc_types=_DOC_TYPES, field_tuples=((prof.field_id,),), address_lists=address_lists,
+                    attribution_tuples=((),),
+                ), fh)
+                seq += n
 
     meta_path = out / "synth.meta.json"
     meta = {
@@ -349,7 +351,7 @@ def build_world_spec(
         )
         for i in range(n_fields)
     )
-    org_types = ("U", "RI", "H")
+    org_types = tuple(t.value for t in OrgType)
     orgs = []
     for i in range(n_orgs):
         weights = [0.4 / (n_fields - 1)] * n_fields if n_fields > 1 else [0.0]
@@ -381,20 +383,20 @@ def build_world_spec(
 # organizations while field-standardized means agree.
 
 DEFAULT_DEMO_SEED = 20104711
+# The demo's pass bounds, checked and printed.
+RAW_RATIO_MIN = 2.0
+STD_REL_TOL = 0.05
 
 
 def build_demo_spec(
     seed: int,
     concentrated_mix: tuple[float, float] = (0.9, 0.1),
     spread_mix: tuple[float, float] = (0.1, 0.9),
-    mu_high: float = 10.0,
-    mu_low: float = 2.0,
-    annual_volume: int = 2500,
     years: tuple[int, int] = (2004, 2005),
 ) -> SynthSpec:
     fields = (
-        FieldProfile("HIGHCITE", "Biomedical research", mu_high, 5.0, 6, annual_volume),
-        FieldProfile("LOWCITE", "Mathematics", mu_low, 5.0, 6, annual_volume),
+        FieldProfile("HIGHCITE", "Biomedical research", 10.0, 5.0, 6, 2500),
+        FieldProfile("LOWCITE", "Mathematics", 2.0, 5.0, 6, 2500),
     )
     orgs = (
         SynthOrg(
@@ -439,8 +441,9 @@ class DistortionReport:
     def summary_lines(self) -> list[str]:
         return [
             f"seed: {self.seed}",
-            f"raw citations-per-publication ratio: {self.raw_ratio:.2f} (required >= 2)",
-            f"standardized means relative difference: {100 * self.standardized_rel_diff:.2f}% (required < 5%)",
+            f"raw citations-per-publication ratio: {self.raw_ratio:.2f} (required >= {RAW_RATIO_MIN:g})",
+            f"standardized means relative difference: {100 * self.standardized_rel_diff:.2f}%"
+            f" (required < {STD_REL_TOL:.0%})",
             f"raw ranking separates organizations: {self.raw_separated}",
             f"standardized ranking agrees: {self.standardized_agree}",
         ]
@@ -449,8 +452,6 @@ class DistortionReport:
 def distortion_demo(
     seed: int = DEFAULT_DEMO_SEED,
     out_dir: str | Path | None = None,
-    raw_ratio_min: float = 2.0,
-    std_rel_tol: float = 0.05,
     spec: SynthSpec | None = None,
 ) -> DistortionReport:
     """Generate the two-organization demo corpus and compare rankings.
@@ -461,12 +462,9 @@ def distortion_demo(
     """
     spec = spec if spec is not None else build_demo_spec(seed)
     with tempfile.TemporaryDirectory() if out_dir is None else nullcontext(out_dir) as where:
-        return _demo_from_files(spec, generate_corpus(spec, where), raw_ratio_min, std_rel_tol)
-
-
-def _demo_from_files(spec, generated, raw_ratio_min, std_rel_tol) -> DistortionReport:
-    corpus = load_generated(generated)
-    rules = compile_rules(generated.rules, corpus.organizations)
+        generated = generate_corpus(spec, where)
+        corpus = load_generated(generated)
+        rules = compile_rules(generated.rules, corpus.organizations)
     reconciled = reconcile_corpus(corpus, rules).corpus
     benchmarks = compute_benchmarks(reconciled)
     top_set = classify_top_journals(reconciled.journals, reconciled.field_scheme)
@@ -489,8 +487,8 @@ def _demo_from_files(spec, generated, raw_ratio_min, std_rel_tol) -> DistortionR
         standardized_means=std_means,
         raw_ratio=raw_ratio,
         standardized_rel_diff=std_rel,
-        raw_separated=raw_ratio >= raw_ratio_min,
-        standardized_agree=std_rel < std_rel_tol,
+        raw_separated=raw_ratio >= RAW_RATIO_MIN,
+        standardized_agree=std_rel < STD_REL_TOL,
     )
 
 

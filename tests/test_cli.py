@@ -278,6 +278,10 @@ class TestBadInputDiagnostics:
             ["trend", "--slice", "discipline"],
             ["trend", "--slice", "org"],
             ["reconcile"],
+            ["validate"],
+            ["benchmark"],
+            ["synth", "--spec", "nonexistent.spec"],
+            ["demo-distortion"],
         ],
     )
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -285,14 +289,14 @@ class TestBadInputDiagnostics:
         def no_input(*args, **kwargs):
             raise AssertionError("input read")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_input)
-        monkeypatch.setattr(cli, "compile_rules", no_input)
+        for name in ("parse_corpus", "compile_rules", "load_spec", "distortion_demo"):
+            monkeypatch.setattr(cli, name, no_input)
         out = tiny_corpus_files["dir"] / "out"
-        code, err = self.run(
-            [argv[0], *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["dir"] / "nonexistent.tsv"),
-             *argv[1:], "--threads", threads, "--out-dir", str(out)],
-            capsys,
-        )
+        command = argv[0]
+        inputs = [] if command in ("synth", "demo-distortion") else args_corpus(tiny_corpus_files)
+        if command in ("reconcile", "indicators", "rank", "trend"):
+            inputs += ["--rules", str(tiny_corpus_files["dir"] / "nonexistent.tsv")]
+        code, err = self.run([command, *inputs, *argv[1:], "--threads", threads, "--out-dir", str(out)], capsys)
         assert code == 2
         assert err == ["usage error: --threads must be >= 1"]
         assert not out.exists()

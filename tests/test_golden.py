@@ -12,9 +12,11 @@ Two inputs are frozen:
   cell, and an ``--xcr-csv`` table with the (2003, F2) cell removed, so
   the discipline-mean and exclusion paths are frozen too.
 
-``synth/world`` freezes the three registries that ``synth`` writes for
-the ``synth`` case (journals with full-precision impact factors, orgs,
-field scheme).
+``synth/world`` freezes the files that ``synth`` writes for the ``synth``
+case: the three registries (journals with full-precision impact factors,
+orgs, field scheme) and the publications JSONL. ``reconcile`` re-encodes
+every record, so only this copy pins the generator's own key order and
+spacing.
 
 The expected files are data, not a regeneration target: a change that
 alters them changes the engine's results. They include the column
@@ -133,10 +135,11 @@ def test_golden_outputs_without_snapshot_byte_identical(case, tmp_path):
         assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
 
 
-def test_synth_registries_byte_identical(tmp_path):
-    """The registries `synth` writes for the golden spec, frozen under ``synth/world``."""
+def test_synth_world_byte_identical(tmp_path):
+    """The registries and publications `synth` writes for the golden spec, frozen under ``synth/world``."""
     inputs = synth_inputs(tmp_path)
-    for key, name in (("journals", "journals.csv"), ("orgs", "orgs.csv"), ("fields", "fieldscheme.csv")):
+    for key, name in (("journals", "journals.csv"), ("orgs", "orgs.csv"), ("fields", "fieldscheme.csv"),
+                      ("pubs", "publications.jsonl")):
         assert inputs[key].read_bytes() == (GOLDEN / "synth" / "world" / name).read_bytes(), name
 
 

@@ -167,6 +167,24 @@ def test_id_count_that_differs_from_the_arrays_parses(files, capsys, change):
     assert_parses(files, capsys)
 
 
+@pytest.mark.parametrize("edit", ["repeated id", "empty id", "empty journal id"])
+def test_value_that_ingest_refuses_parses(files, capsys, edit):
+    """A snapshot whose key matches but whose ids ingest would refuse is a miss:
+    `parse_corpus` returns the JSONL's corpus."""
+    key, counts, lines, arrays = parts(files["snapshot"].read_bytes())
+    at = 2 if edit == "empty journal id" else 0  # the journals line, or the ids line
+    values = json.loads(lines[at])
+    values[1] = values[0] if edit == "repeated id" else ""
+    lines[at] = json.dumps(values).encode() + b"\n"
+    files["snapshot"].write_bytes(key + json.dumps(counts).encode() + b"\n" + b"".join(lines) + arrays)
+    assert_parses(files, capsys)
+    inputs = files["inputs"]
+    registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
+    loaded = parse_corpus(files["pubs"], *registry_files).columns
+    files["snapshot"].unlink()
+    assert_columns_equal(loaded, parse_corpus(files["pubs"], *registry_files).columns)
+
+
 def test_other_version_parses(files, capsys, monkeypatch):
     data = files["snapshot"].read_bytes()
     version = f" {corpus_module.__version__} ".encode()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -115,6 +116,18 @@ class TestSpecValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: field ")
 
+    def test_duplicate_org_ids_are_rejected(self, tmp_path, capsys):
+        spec = build_world_spec(3, n_fields=2, n_orgs=2)
+        spec = dataclasses.replace(spec, orgs=(spec.orgs[0], dataclasses.replace(spec.orgs[1], org_id="U000")))
+        with pytest.raises(SynthError, match="duplicate org ids"):
+            spec.validate()
+        path = tmp_path / "bad.spec"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert dispatch(["synth", "--spec", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: duplicate org ids"]
+        assert not out.exists()
+
     def test_spec_file_round_trip(self, tmp_path):
         spec = build_world_spec(7, n_fields=3, n_orgs=3)
         path = tmp_path / "synth.spec"
@@ -183,6 +196,22 @@ class TestGeneration:
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
         for row in aggregate(corpus, ("field",), bm, top):
             assert row.mean_cx == pytest.approx(1.0, rel=1e-9)
+
+    def test_peak_memory_is_per_block(self, tmp_path):
+        """Publications are written one (year, field) block at a time, so four
+        years of blocks peak about as high as one year does."""
+
+        def peak(years):
+            spec = build_world_spec(8, n_fields=2, years=years, annual_volume=4000, n_orgs=3)
+            tracemalloc.start()
+            try:
+                generate_corpus(spec, tmp_path / str(years[1]))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((2001, 2001))  # first-call allocations (lazy imports, caches) are not per block
+        assert peak((2001, 2004)) < 1.5 * peak((2001, 2001))
 
     def test_metadata_records_generator_and_seed(self, tmp_path):
         g = generate_corpus(one_field_spec(seed=5, volume=10), tmp_path)
