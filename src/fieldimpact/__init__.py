@@ -36,8 +36,8 @@ from .benchmarks import (  # noqa: F401
 from .indicators import (  # noqa: F401
     IndicatorRow,
     aggregate,
-    concentration_index,
     concentration_index_from_shares,
+    concentration_table,
     journal_standardized_impact,
     standardized_impact,
 )

@@ -61,12 +61,6 @@ class CitationBenchmarkTable:
             raise DegenerateBenchmarkError(year, key, self.kind)
         return cell.mean
 
-    def get(self, year: int, key: str) -> BenchmarkCell | None:
-        return self.cells.get((year, key))
-
-    def degenerate_cells(self) -> tuple[tuple[int, str], ...]:
-        return tuple(sorted(k for k, c in self.cells.items() if c.mean == 0.0))
-
 
 def _cell_sums(a: np.ndarray, b: np.ndarray, n_b: int, citations: np.ndarray):
     """Per distinct code pair (a[k], b[k]) of the rows: (i, j, count, exact citation total)."""
@@ -126,12 +120,6 @@ class TopJournalSet:
     """
 
     by_field: Mapping[str, frozenset[str]]
-
-    def is_top_in(self, field_id: str, journal_id: str) -> bool:
-        return journal_id in self.by_field.get(field_id, frozenset())
-
-    def is_top_for(self, journal_id: str, field_ids: Iterable[str]) -> bool:
-        return any(journal_id in self.by_field.get(f, frozenset()) for f in field_ids)
 
 
 def classify_top_journals(

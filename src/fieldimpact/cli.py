@@ -198,6 +198,9 @@ def _option_dests(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def _finite(value) -> float:
+    """A finite float; bools are rejected, as `_integer` rejects them."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"not a finite number: {value!r}")
@@ -344,11 +347,12 @@ def _cmd_reconcile(args, config) -> int:
 
 
 def _cmd_benchmark(args, config) -> int:
+    fraction = _fraction(args, config)
     corpus = _load_corpus(args, config)
     out = _out_dir(args, config)
     xcr = compute_xcr(corpus)
     jxcr = compute_jxcr(corpus)
-    top_set = classify_top_journals(corpus.journals, corpus.field_scheme, _fraction(args, config))
+    top_set = classify_top_journals(corpus.journals, corpus.field_scheme, fraction)
     export_benchmark_csv(xcr, out / "xcr.csv")
     export_benchmark_csv(jxcr, out / "jxcr.csv")
     export_top_journals_csv(top_set, out / "top_journals.csv")

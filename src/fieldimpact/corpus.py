@@ -24,7 +24,7 @@ import operator
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
@@ -200,9 +200,6 @@ class Corpus:
     organizations: Mapping[str, Organization]
     field_scheme: FieldScheme
     census_date: date | None = None
-    # `indicators.concentration_index`'s table, set on first use;
-    # `dataclasses.replace` makes a new corpus without one.
-    _concentration: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def records(self) -> RecordView:
@@ -632,17 +629,11 @@ def _read_columns(source: PathOrIO) -> tuple[RecordColumns, list[str]]:
                         f = -1
             except (KeyError, TypeError):  # a missing key or an unhashable item, which `validate_record` diagnoses
                 f = -1
-            if f < 0 or a < 0:
-                record, rec_diags = validate_record(raw)
-                if rec_diags:
-                    rec_id = raw.get("id", "?")
-                    diagnostics.extend(f"publications line {lineno} (record {rec_id}): {d}" for d in rec_diags)
-                    continue
-                rec_id, y, doc, jid, cites = (record.id, record.year, record.doc_type.value, record.journal_id,
-                                              record.citations)
-                f = field_codes.setdefault(record.field_ids, len(field_codes))
-                a = address_codes.setdefault(record.addresses, len(address_codes))
-                atts = record.attributions
+            if f < 0 or a < 0:  # every such JSON line fails a check of `validate_record`
+                _, rec_diags = validate_record(raw)
+                rec_id = raw.get("id", "?")
+                diagnostics.extend(f"publications line {lineno} (record {rec_id}): {d}" for d in rec_diags)
+                continue
             if rec_id in seen:
                 diagnostics.append(f"publications line {lineno}: duplicate publication id {rec_id!r}")
                 continue
@@ -662,13 +653,6 @@ def _read_columns(source: PathOrIO) -> tuple[RecordColumns, list[str]]:
         tuple(year_codes), tuple(journal_codes), tuple(map(_DOC_TYPES.get, doc_codes)), tuple(field_codes),
         tuple(address_codes), attribution_tuples,
     ), diagnostics
-
-
-def parse_publications(source: PathOrIO) -> tuple[list[PublicationRecord], list[str]]:
-    """Parse publications JSONL into records, in file order, plus the full
-    diagnostic list (see `_read_columns`)."""
-    columns, diagnostics = _read_columns(source)
-    return list(RecordView(columns)), diagnostics
 
 
 def parse_corpus(

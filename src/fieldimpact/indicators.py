@@ -394,22 +394,6 @@ def org_type_discipline_weights(corpus: Corpus):
     return w_td, w_d, w_t, total
 
 
-def concentration_index(corpus: Corpus, org_type: OrgType | str, discipline: str) -> float:
-    """Within-discipline output share of an org type over its overall share,
-    looked up in the corpus's `concentration_table`, built once per corpus."""
-    if isinstance(org_type, str):
-        org_type = OrgType(org_type)
-    table = corpus._concentration
-    if table is None:
-        table = concentration_table(corpus)
-        object.__setattr__(corpus, "_concentration", table)
-    if (org_type, discipline) not in table:
-        if all(d != discipline for _, d in table):
-            raise IndicatorError(f"discipline {discipline!r} has no attributed publications")
-        raise IndicatorError(f"org type {org_type.value} has no attributed publications")
-    return table[(org_type, discipline)]
-
-
 def concentration_table(corpus: Corpus) -> dict[tuple[OrgType, str], float]:
     """Concentration index for every (org_type, discipline) with output, from
     the exact shares of org_type_discipline_weights, rounded to float once."""

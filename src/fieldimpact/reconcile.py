@@ -199,9 +199,6 @@ class UnmatchedReport:
 
     entries: tuple[UnmatchedAddress, ...]
 
-    def total_instances(self) -> int:
-        return sum(e.count for e in self.entries)
-
     def to_csv(self, destination: str | Path | IO[str]) -> None:
         rows = tuple((e.address, e.count, ";".join(e.sample_ids)) for e in self.entries)
         emit(Table(("address", "count", "sample_ids"), rows), "csv", destination)

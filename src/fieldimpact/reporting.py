@@ -16,7 +16,7 @@ from datetime import date
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .corpus import CorpusError, _open_out, _open_text
+from .corpus import CorpusError, _open_out
 
 if TYPE_CHECKING:
     from .indicators import IndicatorRow
@@ -65,7 +65,6 @@ _RANK_DECIMALS = {
     "top_share_pct": 1,
     "mean_cjx": 2,
     "top_decile_mean_cx": 2,
-    "mean_citations": 2,
 }
 
 
@@ -132,11 +131,6 @@ def _display(value, column: str, decimals: dict[str, int]) -> str:
         nd = decimals.get(column)
         return f"{value:.{nd}f}" if nd is not None else repr(value)
     return str(value)
-
-
-def load_table_json(source: str | Path | IO[str]) -> list[dict]:
-    with _open_text(source) as fh:
-        return json.load(fh)
 
 
 _EXTENSIONS = {"csv": "csv", "json": "json", "markdown": "md"}

@@ -80,9 +80,11 @@ class SynthOrg:
     field_mix: dict[str, float]
 
     def validate(self, field_ids: set[str]) -> None:
-        # rules.tsv holds one "name<TAB>id" per line.
+        # rules.tsv holds one "name<TAB>id" per line; the loaders strip cells and reject empty ids.
         if any(c in self.org_id + self.name for c in "\t\r\n"):
             raise SynthError(f"org {self.org_id!r}: id and name must not contain a tab or line break")
+        if not self.org_id or self.org_id != self.org_id.strip():
+            raise SynthError(f"org {self.org_id!r}: id must be non-empty, without surrounding whitespace")
         if not normalize_address(self.name):
             raise SynthError(f"org {self.org_id!r}: name {self.name!r} is empty after normalization")
         if self.name.lstrip().startswith("#"):
@@ -148,6 +150,11 @@ class SynthSpec:
         return raw
 
 
+def _optional(raw: dict, converters: dict) -> dict:
+    """The optional keys that `raw` holds, converted; the dataclass defaults fill in the rest."""
+    return {key: convert(raw[key]) for key, convert in converters.items() if key in raw}
+
+
 def spec_from_dict(raw: dict) -> SynthSpec:
     try:
         years = raw["years"]
@@ -162,8 +169,7 @@ def spec_from_dict(raw: dict) -> SynthSpec:
                     dispersion=float(f["dispersion"]),
                     journal_count=int(f["journal_count"]),
                     annual_volume=int(f["annual_volume"]),
-                    if_location=float(f.get("if_location", 0.0)),
-                    if_sigma=float(f.get("if_sigma", 0.5)),
+                    **_optional(f, {"if_location": float, "if_sigma": float}),
                 )
                 for f in raw["fields"]
             ),
@@ -177,9 +183,7 @@ def spec_from_dict(raw: dict) -> SynthSpec:
                 for o in raw.get("orgs", [])
             ),
             seed=int(raw["seed"]),
-            coauthor_rate=float(raw.get("coauthor_rate", 0.10)),
-            doc_type_weights=tuple(raw.get("doc_type_weights", (0.70, 0.27, 0.03))),
-            address_variants=int(raw.get("address_variants", 4)),
+            **_optional(raw, {"coauthor_rate": float, "doc_type_weights": tuple, "address_variants": int}),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SynthError(f"invalid synth spec: {exc}") from exc

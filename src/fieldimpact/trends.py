@@ -29,11 +29,6 @@ class AnnualSeries:
         return tuple(year for year, _ in self.points)
 
     @property
-    def has_gaps(self) -> bool:
-        years = self.years
-        return bool(years) and (years[-1] - years[0] + 1) != len(years)
-
-    @property
     def insufficient_for_growth(self) -> bool:
         return len(self.points) < 2
 
@@ -75,14 +70,22 @@ def avg_annual_increase(series_values: Sequence[float]) -> float:
     values = list(series_values)
     if len(values) < 2:
         raise GrowthError("growth needs at least two points")
+    return _compound_rate(values, len(values) - 1)
+
+
+def _compound_rate(values: Sequence[float], steps: int) -> float:
+    """(last/first)^(1/steps) - 1 in percent; any non-positive value leaves it undefined."""
     if any(v is None or v <= 0 for v in values):
         raise GrowthError("undefined growth: series contains non-positive values")
-    ratio, steps = values[-1] / values[0], len(values) - 1
-    growth = ratio ** (1.0 / steps) - 1.0
-    if growth == 0.0 and ratio != 1.0:
-        # The root of a ratio within a few ulps of 1 rounds to 1.0; the
-        # log keeps the sign of the change.
-        growth = math.log(ratio) / steps
+    ratio = values[-1] / values[0]
+    try:
+        growth = ratio ** (1.0 / steps) - 1.0
+        if growth == 0.0 and ratio != 1.0:
+            # The root of a ratio within a few ulps of 1 rounds to 1.0; the
+            # log keeps the sign of the change.
+            growth = math.log(ratio) / steps
+    except OverflowError:  # a year span past the float range
+        raise GrowthError("undefined growth: the series spans more years than a float holds") from None
     return growth * 100.0
 
 
@@ -110,15 +113,18 @@ def series_growth(
 ) -> GrowthStat:
     """Growth statistic for one metric of one series.
 
-    Percent metrics with a first value below the floor are flagged as
-    having an unstable base (tiny shares make growth rates fragile).
+    The rate compounds over the years from the first point to the last,
+    so a year without output counts as a year of growth: points in 2001
+    and 2004 give a 3-year rate. Percent metrics with a first value below
+    the floor are flagged as having an unstable base (tiny shares make
+    growth rates fragile).
     """
     if metric not in GROWTH_METRICS:
         raise GrowthError(f"unknown growth metric {metric!r}, allowed: {GROWTH_METRICS}")
     if series.insufficient_for_growth:
         raise GrowthError(f"entity {series.entity_id()!r}: single-point series")
     values = series.metric_values(metric)
-    rate = avg_annual_increase(values)
+    rate = _compound_rate(values, series.years[-1] - series.years[0])
     floor = unstable_floor
     if floor is None:
         floor = DEFAULT_UNSTABLE_FLOOR if metric == "top_share_pct" else 0.0

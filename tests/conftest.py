@@ -9,12 +9,19 @@ import numpy as np
 import pytest
 
 from fieldimpact.columns import RecordColumns
-from fieldimpact.corpus import Corpus, parse_corpus
+from fieldimpact.corpus import Corpus, RecordView, _read_columns, parse_corpus
 from fieldimpact.reconcile import RuleConflict
 
 
 def jsonl(pubs: list[dict]) -> str:
     return "".join(json.dumps(p) + "\n" for p in pubs)
+
+
+def read_records(text: str):
+    """Publications JSONL text as `PublicationRecord`s in file order, plus
+    the full diagnostic list, as ingest decodes it."""
+    columns, diagnostics = _read_columns(io.StringIO(text))
+    return list(RecordView(columns)), diagnostics
 
 
 def journals_csv(rows: list[tuple]) -> str:
@@ -87,6 +94,17 @@ def pub(
     }
     record.update(extra)
     return record
+
+
+def args_corpus(files, *extra):
+    """The four corpus flags for a `tiny_corpus_files` dict, then `extra`."""
+    return [
+        "--pubs", str(files["pubs"]),
+        "--journals", str(files["journals"]),
+        "--orgs", str(files["orgs"]),
+        "--fields", str(files["fields"]),
+        *extra,
+    ]
 
 
 def assert_columns_equal(found: RecordColumns, expected: RecordColumns):

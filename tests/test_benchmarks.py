@@ -17,9 +17,10 @@ from fieldimpact.benchmarks import (
     load_benchmark_csv,
     load_top_journals_csv,
 )
+from fieldimpact.cli import dispatch
 from fieldimpact.corpus import FieldScheme, Journal
 
-from conftest import mk_corpus, pub
+from conftest import args_corpus, mk_corpus, pub
 
 
 def top_decile_oracle(journals, fraction=0.10):
@@ -59,8 +60,7 @@ class TestExpectedCitationRates:
             [pub("p1", fields=["F1", "F2"], citations=4), pub("p2", fields=["F1"], citations=0)]
         )
         table = compute_xcr(corpus)
-        assert table.get(2003, "F1") == (2, 2.0)
-        assert table.get(2003, "F2") == (1, 4.0)
+        assert table.cells == {(2003, "F1"): (2, 2.0), (2003, "F2"): (1, 4.0)}
 
     def test_empty_corpus_is_error(self):
         empty = mk_corpus([], journals=[("J1", "Journal One", 1.0, ["F1"])], scheme={"F1": "Physics"})
@@ -88,7 +88,7 @@ class TestExpectedCitationRates:
     def test_zero_mean_cell_is_flagged_and_degenerate_at_lookup(self):
         corpus = mk_corpus([pub("p1", citations=0), pub("p2", citations=0)])
         table = compute_xcr(corpus)
-        assert table.degenerate_cells() == ((2003, "F1"),)
+        assert table.cells == {(2003, "F1"): (2, 0.0)}
         with pytest.raises(DegenerateBenchmarkError):
             table.expected(2003, "F1")
 
@@ -145,10 +145,8 @@ class TestTopJournals:
             *[journal(f"JC{i}", 5.0 - i * 0.1, ["F1"]) for i in range(8)],
         ]
         top = classify_top_journals(journals)
-        assert not top.is_top_in("F1", "JB")
-        assert top.is_top_in("F2", "JB")  # only journal of F2
-        assert top.is_top_for("JB", ["F1", "F2"])
-        assert not top.is_top_for("JB", ["F1"])
+        assert "JB" not in top.by_field["F1"]
+        assert top.by_field["F2"] == {"JB"}  # only journal of F2
 
     def test_count_bounds_and_oracle_agreement(self):
         rng = np.random.default_rng(42)
@@ -209,6 +207,34 @@ class TestCsvRoundTrips:
 class TestCsvLoaderRejections:
     HEADER = "year,field_id,n,xcr\n"
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(BenchmarkError, match="^unknown benchmark kind 'org'$"):
+            load_benchmark_csv(io.StringIO(self.HEADER + "2003,F1,2,1.0\n"), "org")
+
+    @pytest.mark.parametrize("kind, body, message", [
+        ("field", "x,F1,2,1.0\n", "benchmark CSV line 2: invalid literal for int() with base 10: 'x'"),
+        ("field", "2003.0,F1,2,1.0\n", "benchmark CSV line 2: invalid literal for int() with base 10: '2003.0'"),
+        ("field", "2003,F1,two,1.0\n", "benchmark CSV line 2: invalid literal for int() with base 10: 'two'"),
+        ("field", "2003,F1,1.5,1.0\n", "benchmark CSV line 2: invalid literal for int() with base 10: '1.5'"),
+        ("field", "2003,F1,0,1.0\n", "benchmark CSV line 2: n must be >= 1"),
+        ("journal", "2003,J1,-2,1.0\n", "benchmark CSV line 2: n must be >= 1"),
+        ("field", "", "no benchmark data"),
+        ("journal", "\n \n", "no benchmark data"),
+    ])
+    def test_rejected_cell_message_and_exit_code(self, tiny_corpus_files, capsys, kind, body, message):
+        header = self.HEADER if kind == "field" else "year,journal_id,n,jxcr\n"
+        with pytest.raises(BenchmarkError) as exc:
+            load_benchmark_csv(io.StringIO(header + body), kind)
+        assert str(exc.value) == message
+        files = tiny_corpus_files
+        path = files["dir"] / "table.csv"
+        path.write_text(header + body, encoding="utf-8")
+        out = files["dir"] / "out"
+        option = "--xcr-csv" if kind == "field" else "--jxcr-csv"
+        assert dispatch(["indicators", *args_corpus(files, option, str(path), "--out-dir", str(out))]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_one_column_top_journal_row_names_line(self):
         with pytest.raises(BenchmarkError, match=r"line 3: expected 2 columns, got 1"):
             load_top_journals_csv(io.StringIO("field_id,journal_id\nF1,J1\nF1\n"))
@@ -231,7 +257,7 @@ class TestCsvLoaderRejections:
 
     def test_zero_mean_still_loads_as_degenerate_cell(self):
         table = load_benchmark_csv(io.StringIO(self.HEADER + "2003,F1,2,0.0\n"), "field")
-        assert table.degenerate_cells() == ((2003, "F1"),)
+        assert table.cells == {(2003, "F1"): (2, 0.0)}
 
     @pytest.mark.parametrize("kind, row", [("field", "2001,,1,2.0"), ("journal", "2001, ,1,2.0")])
     def test_empty_key_rejected(self, kind, row):

@@ -7,15 +7,7 @@ from fieldimpact import cli
 from fieldimpact.cli import dispatch
 from fieldimpact.synth import build_world_spec
 
-
-def args_corpus(files, *extra):
-    return [
-        "--pubs", str(files["pubs"]),
-        "--journals", str(files["journals"]),
-        "--orgs", str(files["orgs"]),
-        "--fields", str(files["fields"]),
-        *extra,
-    ]
+from conftest import args_corpus
 
 
 class TestValidate:
@@ -431,6 +423,10 @@ class TestBadInputDiagnostics:
             ("rank", {"fmt": "xml"}),
             ("trend", {"unstable_floor": "x"}),
             ("demo-distortion", {"fmt": "xml"}),
+            # A bool is not a number, though float(True) is 1.0.
+            ("rank", {"fraction": True}),
+            ("rank", {"min_weight": True}),
+            ("trend", {"unstable_floor": False}),
         ],
     )
     def test_config_choice_fails_before_any_input(self, tiny_corpus_files, capsys, monkeypatch, command, config):
@@ -509,6 +505,26 @@ class TestBadInputDiagnostics:
         assert code == 2
         assert err == ["usage error: invalid value for min_weight: 'nan'"]
 
+    @pytest.mark.parametrize(
+        "argv, config, code, message",
+        [
+            (["validate"], "[1, 2]", 2, "error: config file must hold a JSON object"),
+            (["rank", "--discipline", "Physics", "--field", "F1", "--out", "-"], None, 2,
+             "usage error: --discipline and --field are mutually exclusive"),
+            (["trend", "--slice", "year"], None, 2, "usage error: --slice must not include 'year' (it is implicit)"),
+            (["trend", "--slice", "discipline,year"], None, 2,
+             "usage error: --slice must not include 'year' (it is implicit)"),
+            (["validate", "--census-date", "June 2009"], None, 1, "error: census_date: invalid ISO date 'June 2009'"),
+        ],
+    )
+    def test_option_check_message_and_exit_code(self, tiny_corpus_files, capsys, argv, config, code, message):
+        extra = ["--config", str(self.write(tiny_corpus_files, "run.json", config))] if config else []
+        out = tiny_corpus_files["dir"] / "out"
+        found, err = self.run([argv[0], *args_corpus(tiny_corpus_files), *argv[1:], *extra, "--out-dir", str(out)],
+                              capsys)
+        assert (found, err) == (code, [message])
+        assert not out.exists()
+
     def test_repeated_slice_key_is_usage_error(self, tiny_corpus_files, capsys):
         code, err = self.run(
             ["indicators", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
@@ -538,6 +554,7 @@ class TestBadInputDiagnostics:
         )
         assert code == 2
         assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not (tmp_path / "bm").exists()  # checked before any input is read
 
     def test_one_column_top_csv_row(self, tiny_corpus_files, capsys):
         top = self.write(tiny_corpus_files, "top.csv", "field_id,journal_id\nF1,J1\nF1\n")

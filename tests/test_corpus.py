@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldimpact.cli import dispatch
 from fieldimpact.corpus import (
     Attribution,
     CorpusError,
@@ -13,14 +14,16 @@ from fieldimpact.corpus import (
     DocType,
     census_citations,
     doc_type_shares,
+    load_field_scheme,
+    load_journals,
+    load_organizations,
     parse_corpus,
-    parse_publications,
     validate_record,
     write_publications_jsonl,
 )
 from fractions import Fraction
 
-from conftest import att, jsonl, journals_csv, mk_corpus, orgs_csv, pub, scheme_csv
+from conftest import args_corpus, att, jsonl, journals_csv, mk_corpus, orgs_csv, pub, read_records, scheme_csv
 
 
 class TestParseCorpus:
@@ -154,7 +157,7 @@ class TestParseCorpus:
 
 
 def parse_line_by_line(text: str):
-    """`parse_publications` without its attribution memo: `validate_record`
+    """Ingest without its attribution memo: `validate_record`
     on each line, diagnostics formatted the same way (ids are unique)."""
     records, diagnostics = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -203,20 +206,20 @@ class TestAttributionMemo:
             for i, atts in enumerate(lists)
         ]
         text = jsonl(pubs)
-        assert parse_publications(io.StringIO(text)) == parse_line_by_line(text)
+        assert read_records(text) == parse_line_by_line(text)
 
     def test_string_weight_does_not_admit_bool_weight(self):
         text = jsonl([
             pub("p1", attributions=[att("A", "1")]),
             pub("p2", attributions=[{"org": "A", "subunit": None, "weight": True}]),
         ])
-        records, diagnostics = parse_publications(io.StringIO(text))
+        records, diagnostics = read_records(text)
         assert [r.id for r in records] == ["p1"]
         assert diagnostics == ["publications line 2 (record p2): invalid attribution weight True"]
 
     def test_invalid_list_diagnosed_on_every_line(self):
         text = jsonl([pub(f"p{i}", attributions=[att("A", "1/2")]) for i in (1, 2)])
-        records, diagnostics = parse_publications(io.StringIO(text))
+        records, diagnostics = read_records(text)
         assert records == []
         assert diagnostics == [
             f"publications line {i} (record p{i}): attribution weights must sum to exactly 1"
@@ -226,13 +229,59 @@ class TestAttributionMemo:
     def test_equal_lists_share_one_tuple(self):
         atts = [att("A", "1/3"), att("B", "2/3", subunit="B1")]
         text = jsonl([pub("p1", attributions=atts), pub("p2"), pub("p3", attributions=atts)])
-        (p1, p2, p3), diagnostics = parse_publications(io.StringIO(text))
+        (p1, p2, p3), diagnostics = read_records(text)
         assert diagnostics == []
         assert p1.attributions is p3.attributions
         assert p1.attributions == (
             Attribution("A", None, Fraction(1, 3)), Attribution("B", "B1", Fraction(2, 3))
         )
         assert p2.attributions == ()
+
+
+class TestRegistryRejections:
+    """One bad line appended to each registry of the three-record fixture: the
+    loader's exact diagnostic, and `validate`'s exit code 1 with that line."""
+
+    def assert_rejected(self, files, capsys, key, loader, line, diagnostic):
+        path = files[key]
+        path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusValidationError) as exc:
+            loader(path)
+        assert exc.value.diagnostics == [diagnostic]
+        assert dispatch(["validate", *args_corpus(files)]) == 1
+        assert capsys.readouterr().err.splitlines() == [diagnostic, "validation failed: 1 diagnostic(s)"]
+
+    @pytest.mark.parametrize("line, diagnostic", [
+        ("J3,Journal Three,1.0", "journals line 4: expected 4 columns, got 3"),
+        ("J3,Journal Three,1.0,F1,F2", "journals line 4: expected 4 columns, got 5"),
+        (" ,Journal Three,1.0,F1", "journals line 4: empty journal_id"),
+        ("J1,Journal One again,1.0,F1", "journals line 4: duplicate journal_id 'J1'"),
+        ("J3,Journal Three,high,F1", "journals line 4: invalid impact_factor 'high'"),
+        ("J3,Journal Three,,F1", "journals line 4: invalid impact_factor ''"),
+        ("J3,Journal Three,1.0, ; ", "journals line 4: journal 'J3' has no fields"),
+    ])
+    def test_journals(self, tiny_corpus_files, capsys, line, diagnostic):
+        self.assert_rejected(tiny_corpus_files, capsys, "journals", load_journals, line, diagnostic)
+
+    @pytest.mark.parametrize("line, diagnostic", [
+        ("C,Org Gamma,U", "orgs line 4: expected 4 columns, got 3"),
+        (",Org Gamma,U,", "orgs line 4: empty org_id"),
+        ("A,University Alpha again,U,", "orgs line 4: duplicate org_id 'A'"),
+        ("C,Org Gamma,X,", "orgs line 4: org_type must be one of ['H', 'RI', 'U'], got 'X'"),
+        ("C,Org Gamma,U,Z", "org 'C': unknown parent 'Z'"),
+        ("C,Org Gamma,U,C", "org 'C': is its own parent"),
+    ])
+    def test_orgs(self, tiny_corpus_files, capsys, line, diagnostic):
+        self.assert_rejected(tiny_corpus_files, capsys, "orgs", load_organizations, line, diagnostic)
+
+    @pytest.mark.parametrize("line, diagnostic", [
+        ("F3", "fieldscheme line 4: expected 2 columns, got 1"),
+        ("F3,Physics,Biology", "fieldscheme line 4: expected 2 columns, got 3"),
+        (",Physics", "fieldscheme line 4: empty field_id or discipline_id"),
+        ("F3, ", "fieldscheme line 4: empty field_id or discipline_id"),
+    ])
+    def test_field_scheme(self, tiny_corpus_files, capsys, line, diagnostic):
+        self.assert_rejected(tiny_corpus_files, capsys, "fields", load_field_scheme, line, diagnostic)
 
 
 class TestDocTypeShares:
@@ -312,6 +361,20 @@ class TestCensusCitations:
 
     def test_precomputed_count_below_float_precision(self):
         assert census_citations(2**53 - 1, None).count == 2**53 - 1
+
+    @pytest.mark.parametrize("events, census_date, message", [
+        (True, None, "citation_events must be dates or an integer count"),
+        (False, "2009-06-30", "citation_events must be dates or an integer count"),
+        (-1, None, "precomputed citation count must be non-negative"),
+        (["2005-01-01"], None, "census_date is required when counting dated events"),
+        (["2005-13-01"], "2009-06-30", "citation event: invalid ISO date '2005-13-01'"),
+        ([2005], "2009-06-30", "citation event: invalid ISO date 2005"),
+        (["2005-01-01"], "June 2009", "census_date: invalid ISO date 'June 2009'"),
+    ])
+    def test_rejections(self, events, census_date, message):
+        with pytest.raises(CorpusError) as exc:
+            census_citations(events, census_date)
+        assert str(exc.value) == message
 
     def test_event_before_publication_year_warned_but_counted(self):
         result = census_citations(["2000-05-01"], "2009-06-30", publication_year=2003)

@@ -16,13 +16,11 @@ from fieldimpact.benchmarks import (
     classify_top_journals,
     compute_benchmarks,
 )
-from fieldimpact import indicators
 from fieldimpact.corpus import DocType, OrgType, PublicationRecord
 from fieldimpact.indicators import (
     IndicatorError,
     _combine,
     aggregate,
-    concentration_index,
     concentration_index_from_shares,
     concentration_table,
     journal_standardized_impact,
@@ -349,15 +347,16 @@ class TestConcentration:
         # Physics weights: U1 = 1 + 1/2, R1 = 1/2; discipline total 2.
         # Overall: U = 3/2, RI = 3/2, H = 1; total 4.
         expected = (Fraction(3, 2) / 2) / (Fraction(3, 2) / 4)
-        assert concentration_index(corpus, OrgType.UNIVERSITY, "Physics") == pytest.approx(float(expected))
+        assert concentration_table(corpus)[(OrgType.UNIVERSITY, "Physics")] == pytest.approx(float(expected))
 
     def test_zero_share_in_discipline_is_zero(self):
         corpus = self.corpus_three_types()
-        assert concentration_index(corpus, "H", "Physics") == 0.0
+        assert concentration_table(corpus)[(OrgType.HOSPITAL_HCRO, "Physics")] == 0.0
 
     def test_unknown_discipline_rejected(self):
-        with pytest.raises(IndicatorError, match="discipline 'Chemistry' has no attributed publications"):
-            concentration_index(self.corpus_three_types(), "U", "Chemistry")
+        # A discipline without attributed publications has no row for any type.
+        with pytest.raises(KeyError):
+            concentration_table(self.corpus_three_types())[(OrgType.UNIVERSITY, "Chemistry")]
 
     def test_closure_sums_to_one_exactly(self):
         corpus = self.corpus_three_types()
@@ -383,28 +382,15 @@ class TestConcentration:
             share = w_td.get((org_type, d), Fraction(0)) / w_d[d]
             exact = concentration_index_from_shares(share, w_t[org_type] / total)
             assert isinstance(exact, Fraction)
-            assert value == float(exact) == concentration_index(corpus, org_type, d)
-
-    def test_lookups_compute_the_weights_once(self, monkeypatch):
-        corpus = self.corpus_three_types()
-        calls = []
-        weights = indicators.org_type_discipline_weights
-        monkeypatch.setattr(indicators, "org_type_discipline_weights", lambda c: calls.append(c) or weights(c))
-        found = [
-            concentration_index(corpus, org_type, d)
-            for _ in range(4) for org_type in ("U", "RI", "H") for d in ("Physics", "Biology")
-        ]
-        assert len(found) == 24 and calls == [corpus]
-        assert concentration_index(self.corpus_three_types(), "U", "Physics") == found[0]
-        assert len(calls) == 2  # a new corpus builds its own table
+            assert value == float(exact)
 
     def test_org_type_without_output_rejected(self):
+        # An org type without attributed publications has no row in any discipline.
         corpus = mk_corpus(
             [pub("p1", attributions=[att("U1")])],
             orgs=[("U1", "u", "U", None), ("H1", "h", "H", None)],
         )
-        with pytest.raises(IndicatorError, match="org type H has no attributed publications"):
-            concentration_index(corpus, "H", "Physics")
+        assert concentration_table(corpus) == {(OrgType.UNIVERSITY, "Physics"): 1.0}
 
 
 class TestTopDecile:

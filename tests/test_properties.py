@@ -32,15 +32,16 @@ from fieldimpact.benchmarks import (
     load_benchmark_csv,
 )
 from fieldimpact.columns import RecordColumns
-from fieldimpact.corpus import (CorpusValidationError, _load_snapshot, parse_corpus, parse_publications,
-                                snapshot_path, validate_record, write_publications_jsonl, write_snapshot)
+from fieldimpact.corpus import (CorpusValidationError, _load_snapshot, parse_corpus, snapshot_path,
+                                validate_record, write_publications_jsonl, write_snapshot)
 from fieldimpact.indicators import (IndicatorRow, aggregate, concentration_index_from_shares, concentration_table,
                                     org_type_discipline_weights, write_indicator_csv, write_indicator_json)
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.reporting import RankingSpec, emit, rank
 from fieldimpact.synth import build_world_spec, generate_corpus, load_generated
 
-from conftest import assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, scheme_csv
+from conftest import (assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, read_records,
+                      scheme_csv)
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -272,11 +273,11 @@ def aggregate_oracle(corpus, keys, tables, top):
             ]
         else:
             shares = [(Fraction(1), {})]
-        jcell = tables.jxcr.get(rec.year, rec.journal_id)
+        jcell = tables.jxcr.cells.get((rec.year, rec.journal_id))
         cjx = rec.citations / jcell.mean if jcell is not None and jcell.mean != 0 else None
         is_top = any(rec.journal_id in top.by_field.get(f, ()) for f in rec.field_ids)
         for ctx, fields in contexts:
-            cells = [tables.xcr.get(rec.year, f) for f in fields]
+            cells = [tables.xcr.cells.get((rec.year, f)) for f in fields]
             ratio = None
             if all(c is not None and c.mean != 0 for c in cells):
                 ratio = rec.citations / (sum(c.mean for c in cells) / len(cells))
@@ -507,7 +508,7 @@ def publication_lines(draw):
 
 
 def ingest_oracle(text: str):
-    """`parse_publications` and `parse_corpus` by brute force: `json.loads`
+    """`_read_columns` and `parse_corpus` by brute force: `json.loads`
     and `validate_record` per line, then the duplicate-id check, then the
     reference checks over the kept records. Returns the records in file
     order, the line diagnostics, and the reference diagnostics."""
@@ -560,7 +561,7 @@ def parse_text(text: str):
 @settings(max_examples=300, deadline=None)
 def test_ingest_matches_validate_record_line_by_line(text):
     records, diagnostics, references = ingest_oracle(text)
-    assert parse_publications(io.StringIO(text)) == (records, diagnostics)
+    assert read_records(text) == (records, diagnostics)
     if diagnostics or references:
         with pytest.raises(CorpusValidationError) as exc:
             parse_text(text)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldimpact.corpus import Attribution, CorpusValidationError
+from fieldimpact.cli import dispatch
+from fieldimpact.corpus import Attribution, CorpusValidationError, load_organizations
 from fieldimpact.reconcile import (
     ReconcileStats,
     RuleError,
@@ -19,7 +20,7 @@ from fieldimpact.reconcile import (
     reconcile_corpus,
 )
 
-from conftest import att, conflict_oracle, first_match_oracle, mk_corpus, pub
+from conftest import args_corpus, att, conflict_oracle, first_match_oracle, mk_corpus, pub
 
 ORGS3 = [
     ("ORG_TV", "Tor Vergata", "U", None),
@@ -109,6 +110,27 @@ class TestCompileRules:
         assert rs.rules[0].target == ("ORG_B", "SUB1")
         with pytest.raises(RuleError, match="does not belong"):
             ruleset("x\tORG_A\tSUB1\n", orgs=orgs)
+
+
+    @pytest.mark.parametrize("line, message", [
+        ("univ gamma", "rules line 4: expected PATTERN<TAB>ORG_ID[<TAB>SUBUNIT_ID]"),
+        ("univ gamma\tA\tB\tC", "rules line 4: expected PATTERN<TAB>ORG_ID[<TAB>SUBUNIT_ID]"),
+        ("univ gamma\tC", "rules line 4: unknown organization 'C'"),
+        ("univ gamma\tA\tZ", "rules line 4: unknown sub-unit 'Z'"),
+        ("univ gamma\tA\tB", "rules line 4: sub-unit 'B' does not belong to 'A'"),
+        ("!!!\tA", "rules line 4: pattern is empty after normalization"),
+    ])
+    def test_rejected_line_message_and_exit_code(self, tiny_corpus_files, tmp_path, capsys, line, message):
+        files = tiny_corpus_files
+        rules = files["rules"]
+        rules.write_text(rules.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(RuleError) as exc:
+            compile_rules(rules, load_organizations(files["orgs"]))
+        assert str(exc.value) == message
+        out = tmp_path / "out"
+        assert dispatch(["reconcile", *args_corpus(files, "--rules", str(rules), "--out-dir", str(out))]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestMatchAddress:
@@ -368,7 +390,7 @@ class TestReconcileCorpus:
         )
         rs = ruleset("org alpha\tORG_A\n")
         result = reconcile_corpus(corpus, rs)
-        assert result.unmatched.total_instances() == 3
+        assert sum(e.count for e in result.unmatched.entries) == 3
         by_addr = {e.address: e for e in result.unmatched.entries}
         assert by_addr["nowhere inst"].count == 2
         assert set(by_addr["nowhere inst"].sample_ids) == {"p1", "p2"}

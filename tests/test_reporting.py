@@ -13,7 +13,6 @@ from fieldimpact.reporting import (
     Table,
     default_filename,
     emit,
-    load_table_json,
     rank,
     render,
 )
@@ -112,7 +111,7 @@ class TestEmit:
         table = self.table()
         path = tmp_path / "t.json"
         emit(table, "json", path)
-        payload = load_table_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload[0]["mean_cx"] == 1.0309  # full precision preserved
         assert payload[0]["weight"] == 137.0
         assert tuple(payload[0].values()) == table.rows[0]

@@ -19,7 +19,8 @@ import pytest
 from fieldimpact import corpus as corpus_module
 from fieldimpact.cli import dispatch
 from fieldimpact.columns import CODED
-from fieldimpact.corpus import _load_snapshot, _read_columns, parse_corpus, snapshot_path, write_snapshot
+from fieldimpact.corpus import (_load_snapshot, _read_columns, _snapshot_columns, parse_corpus, snapshot_path,
+                                write_snapshot)
 
 from conftest import assert_columns_equal
 
@@ -183,6 +184,30 @@ def test_value_that_ingest_refuses_parses(files, capsys, edit):
     loaded = parse_corpus(files["pubs"], *registry_files).columns
     files["snapshot"].unlink()
     assert_columns_equal(loaded, parse_corpus(files["pubs"], *registry_files).columns)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("a years line that is an object", "snapshot line holds no list"),
+    ("an ids line that is a number", "snapshot line holds no list"),
+    ("a citation count of 2**53", "snapshot citation count out of range"),
+    ("a negative citation count", "snapshot citation count out of range"),
+])
+def test_rejected_body_names_its_fault_and_parses(files, capsys, edit, message):
+    key, counts, lines, arrays = parts(files["snapshot"].read_bytes())
+    if edit.startswith("a years line"):
+        lines[1] = b'{"2001": 2002}\n'
+    elif edit.startswith("an ids line"):
+        lines[0] = b"7\n"
+    else:  # the last record's citation count, the last array's last value
+        arrays = arrays[:-8] + np.array([2**53 if "2**53" in edit else -1], "<i8").tobytes()
+    data = key + json.dumps(counts).encode() + b"\n" + b"".join(lines) + arrays
+    files["snapshot"].write_bytes(data)
+    with open(files["snapshot"], "rb") as fh:
+        fh.readline()
+        with pytest.raises(ValueError) as exc:
+            _snapshot_columns(fh)
+    assert str(exc.value) == message
+    assert assert_parses(files, capsys)[0] == 0
 
 
 def test_other_version_parses(files, capsys, monkeypatch):

@@ -128,6 +128,66 @@ class TestSpecValidation:
         assert capsys.readouterr().err.splitlines() == ["error: duplicate org ids"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "part, change, message",
+        [
+            ("spec", {"year_end": 2000}, "year_end must be >= year_start"),
+            ("spec", {"fields": ()}, "at least one field profile required"),
+            ("spec", {"coauthor_rate": 1.5}, "coauthor_rate must be in [0, 1]"),
+            ("spec", {"coauthor_rate": -0.1}, "coauthor_rate must be in [0, 1]"),
+            ("spec", {"doc_type_weights": (0.5, 0.5)}, "doc_type_weights must be 3 finite numbers >= 0"),
+            ("spec", {"doc_type_weights": (1.2, -0.2, 0.0)}, "doc_type_weights must be 3 finite numbers >= 0"),
+            ("spec", {"doc_type_weights": (0.5, 0.5, 0.5)}, "doc_type_weights must sum to 1"),
+            ("spec", {"address_variants": 0}, "address_variants must be >= 1"),
+            ("field", {"mean_citations": 0.0}, "field F00: mean citation level must be > 0"),
+            ("field", {"dispersion": 0.0}, "field F00: dispersion must be > 0"),
+            ("field", {"journal_count": 0}, "field F00: journal count must be >= 1"),
+            ("field", {"annual_volume": -1}, "field F00: annual volume must be >= 0"),
+            ("field", {"if_sigma": -0.5}, "field F00: if_sigma must be >= 0"),
+            ("field", {"field_id": "F01"}, "duplicate field ids in profiles"),
+            # orgs.csv cannot hold these ids: its loader strips cells and refuses an empty id.
+            *(("org", {"org_id": org_id}, f"org {org_id!r}: id must be non-empty, without surrounding whitespace")
+              for org_id in ("", " ", " U000", "U000 ")),
+            ("org", {"org_type": "X"}, "org U000: org_type must be U, RI or H"),
+            ("org", {"field_mix": {"F00": 1.5, "F01": -0.5}}, "org U000: field-mix weights must be finite and >= 0"),
+            ("org", {"field_mix": {"F00": 0.5, "F99": 0.5}}, "org U000: unknown fields in mix: ['F99']"),
+        ],
+    )
+    def test_spec_check_message_and_exit_code(self, tmp_path, capsys, part, change, message):
+        spec = build_world_spec(3, n_fields=2, n_orgs=2)
+        if part == "field":
+            spec = dataclasses.replace(spec, fields=(dataclasses.replace(spec.fields[0], **change), *spec.fields[1:]))
+        elif part == "org":
+            spec = dataclasses.replace(spec, orgs=(dataclasses.replace(spec.orgs[0], **change), *spec.orgs[1:]))
+        else:
+            spec = dataclasses.replace(spec, **change)
+        with pytest.raises(SynthError) as exc:
+            spec.validate()
+        assert str(exc.value) == message
+        path = tmp_path / "bad.spec"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert dispatch(["synth", "--spec", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_missing_seed_is_rejected(self):
+        spec = dataclasses.replace(build_world_spec(3, n_fields=2, n_orgs=2), seed=None)
+        with pytest.raises(SynthError, match="^seed is mandatory$"):
+            spec.validate()
+
+    def test_absent_optional_keys_take_the_dataclass_defaults(self):
+        raw = build_world_spec(7, n_fields=2, n_orgs=2).to_dict()
+        for key in ("coauthor_rate", "doc_type_weights", "address_variants"):
+            del raw[key]
+        for field in raw["fields"]:
+            del field["if_location"], field["if_sigma"]
+        spec = spec_from_dict(raw)
+        assert spec == SynthSpec(spec.year_start, spec.year_end, tuple(
+            FieldProfile(f.field_id, f.discipline_id, f.mean_citations, f.dispersion, f.journal_count, f.annual_volume)
+            for f in spec.fields
+        ), spec.orgs, spec.seed)
+
     def test_spec_file_round_trip(self, tmp_path):
         spec = build_world_spec(7, n_fields=3, n_orgs=3)
         path = tmp_path / "synth.spec"

@@ -99,7 +99,6 @@ class TestAnnualSeries:
         series = annual_series(corpus, ("nation",), bm, top)
         assert len(series) == 1
         assert series[0].years == tuple(range(2001, 2007))
-        assert not series[0].has_gaps
         assert not series[0].insufficient_for_growth
 
     def test_single_year_entity_flagged(self):
@@ -111,11 +110,34 @@ class TestAnnualSeries:
         with pytest.raises(GrowthError, match="single-point"):
             series_growth(series[0], "mean_cx")
 
-    def test_gap_flagged(self):
-        corpus = corpus_years({2001: [("F1", 1)], 2004: [("F1", 2)]})
+    def test_growth_compounds_over_gap_years(self):
+        # Weight 1 in 2001 and 4 in 2004: three years of growth, not one step.
+        corpus = corpus_years({2001: [("F1", 1)], 2004: [("F1", 1)] * 4})
         bm = compute_benchmarks(corpus)
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
-        assert annual_series(corpus, ("nation",), bm, top)[0].has_gaps
+        (series,) = annual_series(corpus, ("nation",), bm, top)
+        assert series.years == (2001, 2004)
+        stat = series_growth(series, "weight")
+        assert (stat.first_year, stat.last_year) == (2001, 2004)
+        assert stat.avg_annual_increase_pct == (4.0 ** (1.0 / 3) - 1.0) * 100.0
+        assert round(stat.avg_annual_increase_pct, 2) == 58.74
+        assert avg_annual_increase(series.metric_values("weight")) == 300.0  # the per-point rate is unchanged
+
+    def test_span_past_the_float_range_is_undefined(self):
+        corpus = corpus_years({2001: [("F1", 1)], 10**400: [("F1", 1)] * 2})
+        bm = compute_benchmarks(corpus)
+        top = classify_top_journals(corpus.journals, corpus.field_scheme)
+        (series,) = annual_series(corpus, ("nation",), bm, top)
+        with pytest.raises(GrowthError, match="^undefined growth: the series spans more years than a float holds$"):
+            series_growth(series, "weight")
+
+    def test_gap_free_growth_equals_the_per_point_rate(self):
+        corpus = corpus_years({y: [("F1", 1)] * (y - 1999) for y in range(2001, 2006)})
+        bm = compute_benchmarks(corpus)
+        top = classify_top_journals(corpus.journals, corpus.field_scheme)
+        (series,) = annual_series(corpus, ("nation",), bm, top)
+        values = series.metric_values("weight")
+        assert series_growth(series, "weight").avg_annual_increase_pct == avg_annual_increase(values)
 
     def test_discipline_layout_eight_by_six(self):
         fields = {f"F{i}": d for i, d in enumerate(
