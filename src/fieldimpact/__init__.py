@@ -21,7 +21,6 @@ from .corpus import (  # noqa: F401
 from .reconcile import (  # noqa: F401
     RuleSet,
     compile_rules,
-    match_address,
     normalize_address,
     reconcile_corpus,
 )

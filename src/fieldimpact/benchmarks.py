@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,8 +123,8 @@ class TopJournalSet:
 
 
 def classify_top_journals(
-    journals: Mapping[str, Journal] | Iterable[Journal],
-    field_scheme: FieldScheme | None = None,
+    journals: Mapping[str, Journal],
+    field_scheme: FieldScheme,
     fraction: float = 0.10,
 ) -> TopJournalSet:
     """Per field: top ceil(fraction * n) journals by impact factor, ties included.
@@ -137,14 +137,10 @@ def classify_top_journals(
         raise BenchmarkError(f"fraction must be in (0, 1], got {fraction}")
     # In floats 0.07 * 100 is 7.000000000000001, whose ceiling is 8.
     cutoff = Fraction(str(fraction))
-    journal_list = list(journals.values()) if isinstance(journals, Mapping) else list(journals)
-    per_field: dict[str, list[Journal]] = {}
-    for journal in journal_list:
+    per_field: dict[str, list[Journal]] = {field_id: [] for field_id in field_scheme.fields()}
+    for journal in journals.values():
         for field_id in journal.field_ids:
             per_field.setdefault(field_id, []).append(journal)
-    if field_scheme is not None:
-        for field_id in field_scheme.fields():
-            per_field.setdefault(field_id, [])
 
     by_field: dict[str, frozenset[str]] = {}
     for field_id, members in per_field.items():
@@ -161,21 +157,24 @@ def classify_top_journals(
 # CSV import/export. Means are written as repr and round-trip at full
 # precision, so externally supplied world benchmarks can drive a national analysis.
 
+#: Each table kind's CSV header: the year, the key, the cell size and the mean.
+_CSV_HEADERS = {
+    "field": ("year", "field_id", "n", "xcr"),
+    "journal": ("year", "journal_id", "n", "jxcr"),
+}
+
 
 def export_benchmark_csv(table: CitationBenchmarkTable, destination: str | Path | IO[str]) -> None:
-    key_col = "field_id" if table.kind == "field" else "journal_id"
-    value_col = "xcr" if table.kind == "field" else "jxcr"
     rows = tuple((year, key, cell.n, cell.mean) for (year, key), cell in sorted(table.cells.items()))
-    emit(Table(("year", key_col, "n", value_col), rows), "csv", destination)
+    emit(Table(_CSV_HEADERS[table.kind], rows), "csv", destination)
 
 
 def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBenchmarkTable:
-    if kind not in ("field", "journal"):
+    header = _CSV_HEADERS.get(kind)
+    if header is None:
         raise BenchmarkError(f"unknown benchmark kind {kind!r}")
-    key_col = "field_id" if kind == "field" else "journal_id"
-    value_col = "xcr" if kind == "field" else "jxcr"
+    _, key_col, _, value_col = header
     cells: dict[tuple[int, str], BenchmarkCell] = {}
-    header = ("year", key_col, "n", value_col)
     for lineno, row in _read_csv(source, header, "benchmark CSV", BenchmarkError):
         if len(row) != 4:
             raise BenchmarkError(f"benchmark CSV line {lineno}: expected 4 columns, got {len(row)}")
@@ -187,6 +186,8 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
             raise BenchmarkError(f"benchmark CSV line {lineno}: empty {key_col}")
         if n < 1:
             raise BenchmarkError(f"benchmark CSV line {lineno}: n must be >= 1")
+        if n >= 2**53:  # the bound on a citation count; 1 / n must not round to 0
+            raise BenchmarkError(f"benchmark CSV line {lineno}: n must be below 2**53")
         if not math.isfinite(mean) or mean < 0:
             raise BenchmarkError(
                 f"benchmark CSV line {lineno}: {value_col} must be finite and non-negative, "

@@ -10,8 +10,9 @@ are the corpus's only stored form of its records; `Corpus.records`
 builds `PublicationRecord` views from them on demand.
 
 `write_snapshot` stores a written JSONL's columns in a sibling file keyed
-by the JSONL's sha256; `parse_corpus` loads them instead of decoding the
-JSON while the key matches, and parses as usual on any mismatch.
+by the JSONL's sha256 and sealed by the sha256 of its own body;
+`parse_corpus` loads them instead of decoding the JSON while the key and
+the seal match, and parses as usual on any mismatch.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 import operator
+import re
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager, nullcontext
@@ -269,14 +271,24 @@ def census_citations(
 
 
 def _as_date(value: date | str, what: str) -> date:
+    """A date, or a string of the form YYYY-MM-DD in ASCII digits, as a date.
+
+    The syntax is checked here because `date.fromisoformat` accepts more on
+    Python 3.11 and later (`20090630`, `2009-W26-2`) than on 3.10."""
     if isinstance(value, datetime):
         return value.date()
     if isinstance(value, date):
         return value
-    try:
-        return date.fromisoformat(str(value))
-    except ValueError as exc:
-        raise CorpusError(f"{what}: invalid ISO date {value!r}") from exc
+    text = str(value)
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:  # a month or day out of range
+            pass
+    raise CorpusError(f"{what}: invalid ISO date {value!r}")
+
+
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 _DOC_TYPES = {dt.value: dt for dt in DocType}
@@ -747,12 +759,14 @@ def _attribution_items(attributions: tuple[Attribution, ...]) -> list[dict]:
 
 #: Bump whenever ingest validation or the snapshot layout changes: a
 #: snapshot written under another value no longer loads.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 # The stored arrays, in file order, as explicit little-endian bytes.
 _SNAPSHOT_ARRAYS = (*((code, np.dtype("<i4")) for code, _ in CODED), ("citations", np.dtype("<i8")))
 # Values per JSON line, so that no line, and no buffer that holds one,
 # grows with the corpus.
 _SNAPSHOT_LINE = 4096
+# Hex digits of the seal that ends the key line.
+_SEAL = 64
 
 
 def snapshot_path(publications: str | Path) -> Path:
@@ -762,50 +776,67 @@ def snapshot_path(publications: str | Path) -> Path:
 
 
 def _snapshot_key(publications: str | Path) -> bytes:
-    """A snapshot's first line: magic, format, version and the sha256 of the
-    JSONL's bytes, read in chunks."""
-    digest = hashlib.sha256()
+    """A snapshot's first line up to its seal: magic, format, version and the
+    sha256 of the JSONL's bytes. The seal, the sha256 of every byte after the
+    line, and a newline end the line."""
     with open(publications, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    return f"fieldimpact-snapshot {SNAPSHOT_FORMAT} {__version__} {digest.hexdigest()}\n".encode()
+        return f"fieldimpact-snapshot {SNAPSHOT_FORMAT} {__version__} {_sha256(fh)} ".encode()
+
+
+def _sha256(fh: IO[bytes]) -> str:
+    """The hex sha256 of the rest of `fh`, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    while chunk := fh.read(1 << 16):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_snapshot(corpus: Corpus, publications: str | Path) -> Path:
     """Store `corpus`'s columns next to `publications`, which must hold
     `write_publications_jsonl(corpus)`, and return the snapshot's path.
 
-    After the key line, a JSON line holds the lengths of the ids and of the
-    six distinct-value tuples, and JSON lines of at most `_SNAPSHOT_LINE`
-    values each hold their values, in that order; the code and citation
-    arrays follow as raw bytes. The bytes are a function of the corpus alone.
+    After the key line, whose seal is the sha256 of every later byte, a JSON
+    line holds the lengths of the ids and of the six distinct-value tuples,
+    and JSON lines of at most `_SNAPSHOT_LINE` values each hold their values,
+    in that order; the code and citation arrays follow as raw bytes. The
+    bytes are a function of the corpus alone.
     """
     cols = corpus.columns
     tuples = (cols.ids, cols.years, cols.journals, [dt.value for dt in cols.doc_types], cols.field_tuples,
               cols.address_lists, [_attribution_items(t) for t in cols.attribution_tuples])
     path = snapshot_path(publications)
-    with open(path, "wb") as fh:
-        fh.write(_snapshot_key(publications))
+    key = _snapshot_key(publications)
+    with open(path, "w+b") as fh:
+        fh.write(key + b"0" * _SEAL + b"\n")  # the seal's place, filled in once the body is written
         fh.write(json.dumps([len(values) for values in tuples]).encode() + b"\n")  # ASCII, so one line
         for values in tuples:
             for i in range(0, len(values), _SNAPSHOT_LINE):
                 fh.write(json.dumps(values[i:i + _SNAPSHOT_LINE]).encode() + b"\n")
         for name, dtype in _SNAPSHOT_ARRAYS:
             fh.write(np.ascontiguousarray(getattr(cols, name), dtype))
+        fh.seek(len(key) + _SEAL + 1)
+        seal = _sha256(fh)
+        fh.seek(len(key))
+        fh.write(seal.encode())
     return path
 
 
 def _load_snapshot(publications: PathOrIO) -> tuple[RecordColumns, list[str]] | None:
     """The columns stored for a publications path, in file order with no
     diagnostics, as `_read_columns` gives them; None (parse the JSONL) when
-    there is no snapshot, its key does not match the file, or its body is
-    not what `write_snapshot` writes."""
+    there is no snapshot, its key does not match the file, its seal does not
+    match its body, or its body is not what `write_snapshot` writes. The
+    body is hashed in chunks before any of it is decoded."""
     if not isinstance(publications, (str, Path)):
         return None
     try:
         with open(snapshot_path(publications), "rb") as fh:
             key = _snapshot_key(publications)
-            return (_snapshot_columns(fh), []) if fh.read(len(key)) == key else None
+            line = fh.read(len(key) + _SEAL + 1)
+            if line != key + _sha256(fh).encode() + b"\n":
+                return None
+            fh.seek(len(line))
+            return _snapshot_columns(fh), []
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
 

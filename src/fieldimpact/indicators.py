@@ -102,11 +102,6 @@ class IndicatorRow:
     def entity_id(self) -> str:
         return _entity_id(self.entity)
 
-    def value(self, metric: str) -> float | None:
-        if metric in ("weight", "mean_cx", "mean_citations", "top_share_pct", "mean_cjx", "top_decile_mean_cx"):
-            return getattr(self, metric)
-        raise IndicatorError(f"unknown metric {metric!r}")
-
 
 def _entity_id(entity: tuple[tuple[str, object], ...]) -> str:
     """Pipe-joined entity values, the stable label used for ranking and sorting."""

@@ -180,12 +180,6 @@ def compile_rules(
     return RuleSet(tuple(rules), conflicts, tuple(warnings), index)
 
 
-def match_address(normalized: str, rules: RuleSet) -> tuple[str, str | None] | None:
-    """First-match-wins lookup; returns (org_id, subunit_id) or None."""
-    rule = rules.match(normalized)
-    return rule.target if rule is not None else None
-
-
 @dataclass(frozen=True, slots=True)
 class UnmatchedAddress:
     address: str
@@ -314,7 +308,8 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
                 normalized = norm_cache.setdefault(raw, normalize_address(raw))
             target = target_cache.get(normalized, False)
             if target is False:
-                target = target_cache[normalized] = match_address(normalized, rules)
+                rule = rules.match(normalized)
+                target = target_cache[normalized] = None if rule is None else rule.target
             if target is not None:
                 matches.append(target)
                 continue

@@ -79,9 +79,9 @@ def rank(indicator_rows: Iterable[IndicatorRow], spec: RankingSpec) -> Table:
     eligible = [
         row
         for row in indicator_rows
-        if row.weight >= spec.min_weight and row.value(spec.rank_metric) is not None
+        if row.weight >= spec.min_weight and getattr(row, spec.rank_metric) is not None
     ]
-    eligible.sort(key=lambda r: (-r.value(spec.rank_metric), -r.weight, r.entity_id()))
+    eligible.sort(key=lambda r: (-getattr(r, spec.rank_metric), -r.weight, r.entity_id()))
     columns = ["entity", "weight", "mean_cx", "top_share_pct", "mean_cjx"]
     if spec.rank_metric == "top_decile_mean_cx":
         columns.append("top_decile_mean_cx")

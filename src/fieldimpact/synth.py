@@ -23,7 +23,7 @@ import numpy as np
 
 from .benchmarks import classify_top_journals, compute_benchmarks
 from .columns import RecordColumns, encode
-from .corpus import DEFAULT_DISCIPLINES, Corpus, CorpusError, DocType, OrgType, _write_columns, parse_corpus
+from .corpus import DEFAULT_DISCIPLINES, CorpusError, DocType, OrgType, _write_columns, parse_corpus
 from .indicators import IndicatorRow, aggregate
 from .reconcile import compile_rules, normalize_address, reconcile_corpus
 from .reporting import Table, emit
@@ -325,12 +325,6 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
     )
 
 
-def load_generated(generated: GeneratedCorpus) -> Corpus:
-    return parse_corpus(
-        generated.publications, generated.journals, generated.orgs, generated.field_scheme
-    )
-
-
 def build_world_spec(
     seed: int,
     n_fields: int = 6,
@@ -467,7 +461,7 @@ def distortion_demo(
     spec = spec if spec is not None else build_demo_spec(seed)
     with tempfile.TemporaryDirectory() if out_dir is None else nullcontext(out_dir) as where:
         generated = generate_corpus(spec, where)
-        corpus = load_generated(generated)
+        corpus = parse_corpus(generated.publications, generated.journals, generated.orgs, generated.field_scheme)
         rules = compile_rules(generated.rules, corpus.organizations)
     reconciled = reconcile_corpus(corpus, rules).corpus
     benchmarks = compute_benchmarks(reconciled)

@@ -24,19 +24,8 @@ class AnnualSeries:
     entity: tuple[tuple[str, object], ...]
     points: tuple[tuple[int, IndicatorRow], ...]
 
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(year for year, _ in self.points)
-
-    @property
-    def insufficient_for_growth(self) -> bool:
-        return len(self.points) < 2
-
     def entity_id(self) -> str:
         return _entity_id(self.entity)
-
-    def metric_values(self, metric: str) -> list[float | None]:
-        return [row.value(metric) for _, row in self.points]
 
 
 def annual_series(
@@ -121,18 +110,19 @@ def series_growth(
     """
     if metric not in GROWTH_METRICS:
         raise GrowthError(f"unknown growth metric {metric!r}, allowed: {GROWTH_METRICS}")
-    if series.insufficient_for_growth:
+    if len(series.points) < 2:
         raise GrowthError(f"entity {series.entity_id()!r}: single-point series")
-    values = series.metric_values(metric)
-    rate = _compound_rate(values, series.years[-1] - series.years[0])
+    (first_year, _), (last_year, _) = series.points[0], series.points[-1]
+    values = [getattr(row, metric) for _, row in series.points]
+    rate = _compound_rate(values, last_year - first_year)
     floor = unstable_floor
     if floor is None:
         floor = DEFAULT_UNSTABLE_FLOOR if metric == "top_share_pct" else 0.0
     return GrowthStat(
         entity=series.entity,
         metric=metric,
-        first_year=series.years[0],
-        last_year=series.years[-1],
+        first_year=first_year,
+        last_year=last_year,
         avg_annual_increase_pct=rate,
         unstable_base=values[0] < floor,
     )

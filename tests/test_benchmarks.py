@@ -39,6 +39,12 @@ def top_decile_oracle(journals, fraction=0.10):
     return out
 
 
+def classify(journals, fraction=0.10):
+    """`classify_top_journals` of a journal list, under a scheme of the journals' own fields."""
+    scheme = FieldScheme({f: "Physics" for j in journals for f in j.field_ids})
+    return classify_top_journals({j.id: j for j in journals}, scheme, fraction)
+
+
 def journal(jid, impact, fields=("F1",)):
     return Journal(jid, f"Journal {jid}", impact, tuple(fields))
 
@@ -121,21 +127,21 @@ class TestExpectedCitationRates:
 class TestTopJournals:
     def test_ten_distinct_ifs_top_one(self):
         journals = [journal(f"J{i}", float(i)) for i in range(10)]
-        top = classify_top_journals(journals)
+        top = classify(journals)
         assert top.by_field["F1"] == top_decile_oracle(journals)["F1"] == frozenset({"J9"})
 
     def test_single_journal_is_top(self):
-        top = classify_top_journals([journal("J1", 0.5)])
+        top = classify([journal("J1", 0.5)])
         assert top.by_field["F1"] == frozenset({"J1"})
 
     def test_boundary_tie_included(self):
         journals = [journal(f"J{i}", 1.0 if i >= 8 else float(i) / 10) for i in range(10)]
-        top = classify_top_journals(journals)
+        top = classify(journals)
         assert top.by_field["F1"] == frozenset({"J8", "J9"})
 
     def test_field_with_zero_journals_is_empty(self):
         scheme = FieldScheme({"F1": "Physics", "EMPTY": "Physics"})
-        top = classify_top_journals([journal("J1", 2.0)], scheme)
+        top = classify_top_journals({"J1": journal("J1", 2.0)}, scheme)
         assert top.by_field["EMPTY"] == frozenset()
 
     def test_top_for_any_field_of_publication(self):
@@ -144,7 +150,7 @@ class TestTopJournals:
             journal("JB", 1.0, ["F1", "F2"]),
             *[journal(f"JC{i}", 5.0 - i * 0.1, ["F1"]) for i in range(8)],
         ]
-        top = classify_top_journals(journals)
+        top = classify(journals)
         assert "JB" not in top.by_field["F1"]
         assert top.by_field["F2"] == {"JB"}  # only journal of F2
 
@@ -154,7 +160,7 @@ class TestTopJournals:
             n = int(rng.integers(1, 120))
             ifs = np.round(rng.lognormal(0.0, 0.8, n), 2)  # rounding injects ties
             journals = [journal(f"J{i:03d}", float(ifs[i])) for i in range(n)]
-            top = classify_top_journals(journals)
+            top = classify(journals)
             oracle = top_decile_oracle(journals)
             assert top.by_field["F1"] == oracle["F1"]
             assert math.ceil(0.1 * n) <= len(top.by_field["F1"]) <= n
@@ -162,18 +168,18 @@ class TestTopJournals:
     def test_cutoff_is_the_ceiling_of_the_decimal_fraction(self):
         # 0.07 * 100 is 7.000000000000001 in floats; the cutoff must be 7.
         journals = [journal(f"J{i:03d}", float(i + 1)) for i in range(100)]
-        assert len(classify_top_journals(journals, fraction=0.07).by_field["F1"]) == 7
+        assert len(classify(journals, fraction=0.07).by_field["F1"]) == 7
         # Exact oracle: fraction p/100 of n distinct impact factors keeps the
         # ceil(p * n / 100) largest, computed in integers.
         for n in range(1, 101):
             for p in range(1, 101):
-                top = classify_top_journals(journals[:n], fraction=p / 100)
+                top = classify(journals[:n], fraction=p / 100)
                 k = -(-p * n // 100)
                 assert top.by_field["F1"] == {f"J{i:03d}" for i in range(n - k, n)}, (n, p)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(BenchmarkError):
-            classify_top_journals([journal("J1", 1.0)], fraction=0.0)
+            classify([journal("J1", 1.0)], fraction=0.0)
 
 
 class TestCsvRoundTrips:
@@ -197,7 +203,7 @@ class TestCsvRoundTrips:
 
     def test_top_journal_round_trip(self):
         journals = [journal(f"J{i}", float(i), ["F1", "F2"]) for i in range(10)]
-        top = classify_top_journals(journals)
+        top = classify(journals)
         buf = io.StringIO()
         export_top_journals_csv(top, buf)
         reloaded = load_top_journals_csv(io.StringIO(buf.getvalue()))
@@ -218,6 +224,10 @@ class TestCsvLoaderRejections:
         ("field", "2003,F1,1.5,1.0\n", "benchmark CSV line 2: invalid literal for int() with base 10: '1.5'"),
         ("field", "2003,F1,0,1.0\n", "benchmark CSV line 2: n must be >= 1"),
         ("journal", "2003,J1,-2,1.0\n", "benchmark CSV line 2: n must be >= 1"),
+        pytest.param("field", f"2003,F1,{10**400},5e-324\n", "benchmark CSV line 2: n must be below 2**53",
+                     id="n 10**400 with the least mean"),
+        pytest.param("journal", f"2003,J1,{2**53},1.0\n", "benchmark CSV line 2: n must be below 2**53",
+                     id="n 2**53"),
         ("field", "", "no benchmark data"),
         ("journal", "\n \n", "no benchmark data"),
     ])

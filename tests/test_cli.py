@@ -515,6 +515,7 @@ class TestBadInputDiagnostics:
             (["trend", "--slice", "discipline,year"], None, 2,
              "usage error: --slice must not include 'year' (it is implicit)"),
             (["validate", "--census-date", "June 2009"], None, 1, "error: census_date: invalid ISO date 'June 2009'"),
+            (["validate", "--census-date", "20090630"], None, 1, "error: census_date: invalid ISO date '20090630'"),
         ],
     )
     def test_option_check_message_and_exit_code(self, tiny_corpus_files, capsys, argv, config, code, message):

@@ -370,6 +370,8 @@ class TestCensusCitations:
         (["2005-13-01"], "2009-06-30", "citation event: invalid ISO date '2005-13-01'"),
         ([2005], "2009-06-30", "citation event: invalid ISO date 2005"),
         (["2005-01-01"], "June 2009", "census_date: invalid ISO date 'June 2009'"),
+        (["2005-01-01"], "20090630", "census_date: invalid ISO date '20090630'"),
+        (["2005-W01-1"], "2009-06-30", "citation event: invalid ISO date '2005-W01-1'"),
     ])
     def test_rejections(self, events, census_date, message):
         with pytest.raises(CorpusError) as exc:

@@ -38,7 +38,7 @@ from fieldimpact.indicators import (IndicatorRow, aggregate, concentration_index
                                     org_type_discipline_weights, write_indicator_csv, write_indicator_json)
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.reporting import RankingSpec, emit, rank
-from fieldimpact.synth import build_world_spec, generate_corpus, load_generated
+from fieldimpact.synth import build_world_spec, generate_corpus
 
 from conftest import (assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, read_records,
                       scheme_csv)
@@ -720,7 +720,7 @@ def test_concentration_weights_match_oracle(pubs):
 def test_concentration_table_matches_oracle_bit_for_bit_on_criterion_6_world(tmp_path):
     spec = build_world_spec(7301, n_fields=6, years=(2001, 2006), annual_volume=120, n_orgs=12, coauthor_rate=0.2)
     generated = generate_corpus(spec, tmp_path)
-    corpus = load_generated(generated)
+    corpus = parse_corpus(generated.publications, generated.journals, generated.orgs, generated.field_scheme)
     reconciled = reconcile_corpus(corpus, compile_rules(generated.rules, corpus.organizations)).corpus
     w_td, w_d, w_t, total = weights_oracle(reconciled)
     assert org_type_discipline_weights(reconciled) == (w_td, w_d, w_t, total)

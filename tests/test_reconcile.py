@@ -15,7 +15,6 @@ from fieldimpact.reconcile import (
     RuleError,
     RuleSet,
     compile_rules,
-    match_address,
     normalize_address,
     reconcile_corpus,
 )
@@ -136,34 +135,34 @@ class TestCompileRules:
 class TestMatchAddress:
     def test_substring_match(self):
         rs = ruleset("roma tor vergata\tORG_TV\n")
-        assert match_address("dip ing impresa univ roma tor vergata", rs) == ("ORG_TV", None)
+        assert rs.match("dip ing impresa univ roma tor vergata").target == ("ORG_TV", None)
 
     def test_no_rule_matches(self):
         rs = ruleset("alpha\tORG_A\n")
-        assert match_address("completely different", rs) is None
+        assert rs.match("completely different") is None
 
     def test_first_match_wins_in_file_order(self):
         lines = ["# filler"] * 3 + ["alpha site\tORG_A"] + ["# filler"] * 6 + ["site\tORG_B"]
         rs = ruleset("\n".join(lines) + "\n")
         assert rs.rules[0].source_line == 4
         assert rs.rules[1].source_line == 11
-        assert match_address("the alpha site x", rs) == ("ORG_A", None)
+        assert rs.match("the alpha site x").target == ("ORG_A", None)
 
     def test_patterns_without_a_long_later_token_match_anywhere(self):
         # "univ" is a first token, "of" and "pd" are short, "sapienza" is a single
         # word: these are keyed by 4-grams, and "alpha beta" still by "beta".
         rs = ruleset("alpha beta\tORG_A\nuniv of pd\tORG_B\nsapienza\tORG_TV\n")
         for address in ("univ of pd", "dip univ of pd", "xuniv of pdz", "xuniv of pd lab"):
-            assert match_address(address, rs) == ("ORG_B", None)
-        assert match_address("univ of p d", rs) is None
+            assert rs.match(address).target == ("ORG_B", None)
+        assert rs.match("univ of p d") is None
         for address in ("sapienza", "la sapienza roma", "unisapienzaroma"):
-            assert match_address(address, rs) == ("ORG_TV", None)
-        assert match_address("xalpha betax sapienza", rs) == ("ORG_A", None)
+            assert rs.match(address).target == ("ORG_TV", None)
+        assert rs.match("xalpha betax sapienza").target == ("ORG_A", None)
 
     def test_first_token_mid_word_and_last_token_a_prefix(self):
         rs = ruleset("roma tor vergata\tORG_TV\n")
-        assert match_address("xroma tor vergatax", rs) == ("ORG_TV", None)
-        assert match_address("roma tor  vergata", rs) is None
+        assert rs.match("xroma tor vergatax").target == ("ORG_TV", None)
+        assert rs.match("roma tor  vergata") is None
 
     @given(st.data())
     @settings(max_examples=60)
@@ -178,9 +177,9 @@ class TestMatchAddress:
         extra = data.draw(st.lists(words, min_size=1, max_size=3).map(" ".join))
         rs_before = ruleset(base_text)
         rs_after = ruleset(base_text + f"{extra}\tORG_B\n")
-        before = match_address(address, rs_before)
+        before = rs_before.match(address)
         if before is not None:
-            assert match_address(address, rs_after) == before
+            assert rs_after.match(address) == before
 
 
 # Patterns over a three-letter alphabet share key prefixes and nest in each other.

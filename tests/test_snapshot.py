@@ -1,14 +1,16 @@
 """The column snapshot that `reconcile` writes next to its JSONL.
 
 A command loads the snapshot only while its key matches the JSONL's bytes,
-the format and the version, and its body is intact; in every other case it
-parses the JSONL, and its exit code, output and diagnostics are those of a
-run with no snapshot at all. The registries, the sort and the reference
+the format and the version, its seal matches its body, and the body holds
+what `write_snapshot` writes; in every other case it parses the JSONL, and
+its exit code, output and diagnostics are those of a run with no snapshot
+at all. The registries, the sort and the reference
 checks run on either path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -74,6 +76,13 @@ def assert_parses(files, capsys) -> tuple:
     return found
 
 
+def sealed(data: bytes) -> bytes:
+    """`data` with its key line's seal rewritten to match the bytes after the
+    line, so that only the checks on the body itself can reject them."""
+    key, body = data.split(b"\n", 1)
+    return key[:-64] + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
 def parts(data: bytes) -> tuple[bytes, list, list[bytes], bytes]:
     """A snapshot's key line, its counts, its JSON value lines and its arrays.
     The fixture is small, so each of its seven tuples takes one line."""
@@ -86,6 +95,7 @@ def assert_loads_parsed_columns(pubs: Path):
 
 
 def test_snapshot_hit_gives_the_parsed_outcome(files, capsys):
+    assert sealed(files["snapshot"].read_bytes()) == files["snapshot"].read_bytes()
     assert_loads_parsed_columns(files["pubs"])
     found = outcome(files, capsys)
     assert found[0] == 0 and found == without_snapshot(files, capsys)
@@ -121,7 +131,7 @@ def test_truncated_snapshot_parses(files, capsys, keep):
     data = files["snapshot"].read_bytes()
     cut = {"key line": data.index(b"\n") + 1, "part of the header": data.index(b"\n") + 40,
            "all but one byte": len(data) - 1, "all but the last citation": len(data) - 8}[keep]
-    files["snapshot"].write_bytes(data[:cut])
+    files["snapshot"].write_bytes(sealed(data[:cut]))
     assert_parses(files, capsys)
 
 
@@ -130,14 +140,14 @@ def test_truncated_snapshot_parses(files, capsys, keep):
 def test_garbage_snapshot_parses(files, capsys, body):
     key, counts, lines, arrays = parts(files["snapshot"].read_bytes())
     assert len(counts) == len(lines) == 7 and lines[1] == b"[2001, 2002, 2003]\n"
-    files["snapshot"].write_bytes({
-        "garbage": b"\x00\xff not a snapshot \n" * 50,
+    edited = {
         "bad JSON after the key": key + b"[24, 3\n" + b"".join(lines) + arrays,
         "wrong types after the key": key + json.dumps(counts).encode() + b"\n" + lines[0]
         + b'["x", 2002, 2003]\n' + b"".join(lines[2:]) + arrays,
         "a count its lines do not hold": key + json.dumps([counts[0], counts[1] - 1, *counts[2:]]).encode()
         + b"\n" + b"".join(lines) + arrays,
-    }[body])
+    }
+    files["snapshot"].write_bytes(b"\x00\xff not a snapshot \n" * 50 if body == "garbage" else sealed(edited[body]))
     assert_parses(files, capsys)
 
 
@@ -150,7 +160,7 @@ def test_out_of_range_code_parses(files, capsys, code):
     value = len(loaded.attribution_tuples) if code == "past the end" else code
     at = len(data) - 32 * n + index * 4 * n + 4 * (n - 1)  # the last record's attribution code
     data[at:at + 4] = np.array([value], "<i4").tobytes()
-    files["snapshot"].write_bytes(bytes(data))
+    files["snapshot"].write_bytes(sealed(bytes(data)))
     assert_parses(files, capsys)
 
 
@@ -164,7 +174,7 @@ def test_id_count_that_differs_from_the_arrays_parses(files, capsys, change):
         ids = json.loads(lines[0])[:-1]
         data = (key + json.dumps([len(ids), *counts[1:]]).encode() + b"\n" + json.dumps(ids).encode() + b"\n"
                 + b"".join(lines[1:]) + arrays)
-    files["snapshot"].write_bytes(data)
+    files["snapshot"].write_bytes(sealed(data))
     assert_parses(files, capsys)
 
 
@@ -177,7 +187,7 @@ def test_value_that_ingest_refuses_parses(files, capsys, edit):
     values = json.loads(lines[at])
     values[1] = values[0] if edit == "repeated id" else ""
     lines[at] = json.dumps(values).encode() + b"\n"
-    files["snapshot"].write_bytes(key + json.dumps(counts).encode() + b"\n" + b"".join(lines) + arrays)
+    files["snapshot"].write_bytes(sealed(key + json.dumps(counts).encode() + b"\n" + b"".join(lines) + arrays))
     assert_parses(files, capsys)
     inputs = files["inputs"]
     registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
@@ -201,13 +211,28 @@ def test_rejected_body_names_its_fault_and_parses(files, capsys, edit, message):
     else:  # the last record's citation count, the last array's last value
         arrays = arrays[:-8] + np.array([2**53 if "2**53" in edit else -1], "<i8").tobytes()
     data = key + json.dumps(counts).encode() + b"\n" + b"".join(lines) + arrays
-    files["snapshot"].write_bytes(data)
+    files["snapshot"].write_bytes(sealed(data))
     with open(files["snapshot"], "rb") as fh:
         fh.readline()
         with pytest.raises(ValueError) as exc:
             _snapshot_columns(fh)
     assert str(exc.value) == message
     assert assert_parses(files, capsys)[0] == 0
+
+
+def test_flipped_body_bit_parses(files, capsys, monkeypatch):
+    """The low bit of the last record's citation count, flipped: every value
+    stays in range, so only the seal rejects the body, before decoding it."""
+    before = outcome(files, capsys)
+    data = bytearray(files["snapshot"].read_bytes())
+    data[-8] ^= 1
+    files["snapshot"].write_bytes(bytes(data))
+    assert assert_parses(files, capsys) == before
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_snapshot_columns", lambda fh: pytest.fail("decoded an unsealed body"))
+        assert _load_snapshot(files["pubs"]) is None
+    files["snapshot"].write_bytes(sealed(bytes(data)))
+    assert _load_snapshot(files["pubs"])[0].citations[-1] == _read_columns(files["pubs"])[0].citations[-1] ^ 1
 
 
 def test_other_version_parses(files, capsys, monkeypatch):

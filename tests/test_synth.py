@@ -19,7 +19,6 @@ from fieldimpact.synth import (
     build_world_spec,
     distortion_demo,
     generate_corpus,
-    load_generated,
     load_spec,
     spec_from_dict,
 )
@@ -225,7 +224,7 @@ class TestGeneration:
         spec = build_world_spec(11, n_fields=2, annual_volume=30, n_orgs=2, years=(2001, 2001))
         orgs = (dataclasses.replace(spec.orgs[0], name='Synth, "Comma" University'), spec.orgs[1])
         g = generate_corpus(dataclasses.replace(spec, orgs=orgs), tmp_path)
-        corpus = load_generated(g)
+        corpus = parse_corpus(g.publications, g.journals, g.orgs, g.field_scheme)
         assert corpus.organizations["U000"].name == 'Synth, "Comma" University'
         result = reconcile_corpus(corpus, compile_rules(g.rules, corpus.organizations))
         assert result.stats.n_attributed == result.stats.n_records
@@ -233,7 +232,7 @@ class TestGeneration:
     def test_low_mean_sampler_tracks_its_target(self, tmp_path):
         # Law-of-large-numbers check against the sampler's configured mean.
         g = generate_corpus(one_field_spec(seed=1234, mu=0.01, volume=100_000), tmp_path)
-        corpus = load_generated(g)
+        corpus = parse_corpus(g.publications, g.journals, g.orgs, g.field_scheme)
         empirical = sum(r.citations for r in corpus.records) / len(corpus.records)
         assert abs(empirical - 0.01) / 0.01 < 0.10
 
@@ -247,7 +246,8 @@ class TestGeneration:
             orgs=(),
             seed=99,
         )
-        corpus = load_generated(generate_corpus(spec, tmp_path))
+        g = generate_corpus(spec, tmp_path)
+        corpus = parse_corpus(g.publications, g.journals, g.orgs, g.field_scheme)
         lo = [r.citations for r in corpus.records if r.field_ids[0] == "LO"]
         hi = [r.citations for r in corpus.records if r.field_ids[0] == "HI"]
         raw_ratio = (sum(hi) / len(hi)) / (sum(lo) / len(lo))

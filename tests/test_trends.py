@@ -98,15 +98,14 @@ class TestAnnualSeries:
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
         series = annual_series(corpus, ("nation",), bm, top)
         assert len(series) == 1
-        assert series[0].years == tuple(range(2001, 2007))
-        assert not series[0].insufficient_for_growth
+        assert [year for year, _ in series[0].points] == list(range(2001, 2007))
 
     def test_single_year_entity_flagged(self):
         corpus = corpus_years({2003: [("F1", 2)]})
         bm = compute_benchmarks(corpus)
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
         series = annual_series(corpus, ("nation",), bm, top)
-        assert series[0].insufficient_for_growth
+        assert len(series[0].points) == 1
         with pytest.raises(GrowthError, match="single-point"):
             series_growth(series[0], "mean_cx")
 
@@ -116,12 +115,12 @@ class TestAnnualSeries:
         bm = compute_benchmarks(corpus)
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
         (series,) = annual_series(corpus, ("nation",), bm, top)
-        assert series.years == (2001, 2004)
+        assert [year for year, _ in series.points] == [2001, 2004]
         stat = series_growth(series, "weight")
         assert (stat.first_year, stat.last_year) == (2001, 2004)
         assert stat.avg_annual_increase_pct == (4.0 ** (1.0 / 3) - 1.0) * 100.0
         assert round(stat.avg_annual_increase_pct, 2) == 58.74
-        assert avg_annual_increase(series.metric_values("weight")) == 300.0  # the per-point rate is unchanged
+        assert avg_annual_increase([row.weight for _, row in series.points]) == 300.0  # the per-point rate is unchanged
 
     def test_span_past_the_float_range_is_undefined(self):
         corpus = corpus_years({2001: [("F1", 1)], 10**400: [("F1", 1)] * 2})
@@ -136,7 +135,7 @@ class TestAnnualSeries:
         bm = compute_benchmarks(corpus)
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
         (series,) = annual_series(corpus, ("nation",), bm, top)
-        values = series.metric_values("weight")
+        values = [row.weight for _, row in series.points]
         assert series_growth(series, "weight").avg_annual_increase_pct == avg_annual_increase(values)
 
     def test_discipline_layout_eight_by_six(self):
@@ -164,7 +163,7 @@ class TestAnnualSeries:
         top = classify_top_journals(corpus.journals, corpus.field_scheme)
         series = annual_series(corpus, ("discipline",), bm, top)
         assert [s.entity_id() for s in series] == ["Biology", "Chemistry", "Physics"]
-        assert all(s.years == tuple(range(2001, 2007)) for s in series)
+        assert all([year for year, _ in s.points] == list(range(2001, 2007)) for s in series)
 
     def test_year_key_rejected(self):
         corpus = corpus_years({2003: [("F1", 1)]})
