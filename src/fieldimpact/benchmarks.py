@@ -19,7 +19,7 @@ from typing import IO, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .columns import exact_dtype, segments
-from .corpus import Corpus, CorpusError, FieldScheme, Journal, _read_csv
+from .corpus import _COUNT_BOUND, Corpus, CorpusError, FieldScheme, Journal, _read_csv
 from .reporting import Table, emit
 
 
@@ -186,7 +186,7 @@ def load_benchmark_csv(source: str | Path | IO[str], kind: str) -> CitationBench
             raise BenchmarkError(f"benchmark CSV line {lineno}: empty {key_col}")
         if n < 1:
             raise BenchmarkError(f"benchmark CSV line {lineno}: n must be >= 1")
-        if n >= 2**53:  # the bound on a citation count; 1 / n must not round to 0
+        if n >= _COUNT_BOUND:
             raise BenchmarkError(f"benchmark CSV line {lineno}: n must be below 2**53")
         if not math.isfinite(mean) or mean < 0:
             raise BenchmarkError(

@@ -378,8 +378,8 @@ def _cmd_indicators(args, config) -> int:
     rows = aggregate(corpus, keys, benchmarks, top_set)
     out = _out_dir(args, config)
     stem = "indicators_" + "_".join(keys)
-    write_indicator_csv(rows, out / f"{stem}.csv")
-    write_indicator_json(rows, out / f"{stem}.json")
+    write_indicator_csv(rows, out / f"{stem}.csv", keys=keys)
+    write_indicator_json(rows, out / f"{stem}.json", keys=keys)
     print(f"wrote {out / (stem + '.csv')} and {out / (stem + '.json')} ({len(rows)} rows)", file=sys.stderr)
     return 0
 
@@ -447,7 +447,7 @@ def _cmd_trend(args, config) -> int:
                 print(f"skipped {s.entity_id() or 'all'}/{metric}: {exc}", file=sys.stderr)
     out = _out_dir(args, config)
     path = out / ("trend_" + "_".join(keys) + ".csv")
-    write_trend_csv(stats, path)
+    write_trend_csv(stats, path, keys=keys)
     print(f"wrote {path} ({len(stats)} rows)", file=sys.stderr)
     return 0
 

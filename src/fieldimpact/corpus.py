@@ -39,6 +39,12 @@ from . import __version__
 from .columns import CODED, RecordColumns, encode, select
 
 
+# Every citation count, and every count n of a benchmark cell, is below this:
+# standardized ratios divide a count as a float, exact for integers below 2**53,
+# and 1 / n must not round to 0.
+_COUNT_BOUND = 2**53
+
+
 class CorpusError(ValueError):
     """Base class for ingest and validation failures."""
 
@@ -251,7 +257,7 @@ def census_citations(
     if isinstance(citation_events, int):
         if citation_events < 0:
             raise CorpusError("precomputed citation count must be non-negative")
-        if citation_events >= 2**53:
+        if citation_events >= _COUNT_BOUND:
             raise CorpusError("citations must be below 2**53")
         return CensusCount(citation_events, ())
     cutoff = _as_date(census_date, "census_date") if census_date is not None else None
@@ -337,7 +343,7 @@ def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None
         diagnostics.append("citations must be an integer")
     elif citations < 0:
         diagnostics.append("citations must be non-negative")
-    elif citations >= 2**53:  # standardized ratios divide the count as a float
+    elif citations >= _COUNT_BOUND:
         diagnostics.append("citations must be below 2**53")
 
     addresses_raw = raw.get("addresses", [])
@@ -495,6 +501,9 @@ def load_journals(source: PathOrIO) -> dict[str, Journal]:
         if not fields:
             diagnostics.append(f"journals line {lineno}: journal {jid!r} has no fields")
             continue
+        if len(set(fields)) != len(fields):
+            diagnostics.append(f"journals line {lineno}: journal {jid!r} lists a field more than once")
+            continue
         journals[sys.intern(jid)] = Journal(sys.intern(jid), name, impact_factor, fields)
     if diagnostics:
         raise CorpusValidationError(diagnostics)
@@ -544,6 +553,22 @@ def load_organizations(source: PathOrIO) -> dict[str, Organization]:
     if diagnostics:
         raise CorpusValidationError(diagnostics)
     return orgs
+
+
+def _target_fault(organizations: Mapping[str, Organization], org_id: str, subunit_id: str | None) -> str | None:
+    """Why (org_id, subunit_id) cannot be credited, or None if it can: the
+    organization must be a registered one that is not a sub-unit, and the
+    sub-unit, if any, one of its own."""
+    org, subunit = organizations.get(org_id), organizations.get(subunit_id)
+    if org is None:
+        return f"unknown organization {org_id!r}"
+    if org.parent_id is not None:
+        return f"{org_id!r} is a sub-unit of {org.parent_id!r}, not an organization"
+    if subunit_id is not None and subunit is None:
+        return f"unknown sub-unit {subunit_id!r}"
+    if subunit_id is not None and subunit.parent_id != org_id:
+        return f"sub-unit {subunit_id!r} does not belong to {org_id!r}"
+    return None
 
 
 def load_field_scheme(source: PathOrIO) -> FieldScheme:
@@ -626,7 +651,7 @@ def _read_columns(source: PathOrIO) -> tuple[RecordColumns, list[str]]:
                 rec_id, y, doc, jid, cites = raw["id"], raw["year"], raw["doc_type"], raw["journal"], raw["citations"]
                 field_list, address_list = raw["fields"], raw.get("addresses", [])
                 if (type(rec_id) is str and rec_id and type(y) is int and type(doc) is str and doc in _DOC_TYPES
-                        and type(jid) is str and jid and type(cites) is int and 0 <= cites < 2**53
+                        and type(jid) is str and jid and type(cites) is int and 0 <= cites < _COUNT_BOUND
                         and type(field_list) is list and type(address_list) is list):
                     field_key, address_key = tuple(field_list), tuple(address_list)
                     if (f := field_codes.get(field_key)) is None:
@@ -695,12 +720,11 @@ def parse_corpus(
     field_refs = {f for t in cols.field_tuples for f in t}
     field_refs.update(f for journal in journal_registry.values() for f in journal.field_ids)
     dangling_fields = field_refs.difference(scheme.field_to_discipline)
-    attributions = {a for t in cols.attribution_tuples for a in t}
-    dangling_orgs = {a.org_id for a in attributions}.difference(org_registry)
-    dangling_orgs.update(
-        a.subunit_id for a in attributions if a.subunit_id is not None
-        and (a.subunit_id not in org_registry or org_registry[a.subunit_id].parent_id != a.org_id)
-    )
+    targets = {(a.org_id, a.subunit_id) for t in cols.attribution_tuples for a in t}
+    # List each id at fault. A sub-unit's parent is never itself a sub-unit, so
+    # a sub-unit named beside an organization at fault is at fault too.
+    dangling_orgs = {o for o, _ in targets if _target_fault(org_registry, o, None)}
+    dangling_orgs.update(s for o, s in targets if s is not None and _target_fault(org_registry, o, s))
     dangling = (("journal", dangling_journals), ("field", dangling_fields), ("organization", dangling_orgs))
     for what, names in dangling:
         if names:
@@ -884,6 +908,6 @@ def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
         codes = getattr(cols, code)
         if n and not 0 <= codes.min() <= codes.max() < len(getattr(cols, values)):
             raise ValueError(f"snapshot {code} code out of range")
-    if n and not 0 <= cols.citations.min() <= cols.citations.max() < 2**53:
+    if n and not 0 <= cols.citations.min() <= cols.citations.max() < _COUNT_BOUND:
         raise ValueError("snapshot citation count out of range")
     return cols

@@ -408,18 +408,21 @@ def concentration_table(corpus: Corpus) -> dict[tuple[OrgType, str], float]:
 _INDICATOR_COLUMNS = ("weight", "n_excluded", "mean_cx", "top_share_pct", "mean_cjx")
 
 
-def _indicator_table(rows: Iterable[IndicatorRow]) -> Table:
+def _indicator_table(rows: Iterable[IndicatorRow], keys: Sequence[str]) -> Table:
+    """The table of `rows`; without rows its slice-key columns are `keys`."""
     rows = list(rows)
-    slice_keys = tuple(k for k, _ in rows[0].entity) if rows else ()
+    slice_keys = tuple(k for k, _ in rows[0].entity) if rows else tuple(keys)
     body = tuple(
         tuple(v for _, v in row.entity) + tuple(getattr(row, c) for c in _INDICATOR_COLUMNS) for row in rows
     )
     return Table(slice_keys + _INDICATOR_COLUMNS, body, dict.fromkeys(_INDICATOR_COLUMNS, 4))
 
 
-def write_indicator_csv(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
-    emit(_indicator_table(rows), "csv", destination)
+def write_indicator_csv(rows: Iterable[IndicatorRow], destination: str | Path | IO[str], *,
+                        keys: Sequence[str] = ()) -> None:
+    emit(_indicator_table(rows, keys), "csv", destination)
 
 
-def write_indicator_json(rows: Iterable[IndicatorRow], destination: str | Path | IO[str]) -> None:
-    emit(_indicator_table(rows), "json", destination)
+def write_indicator_json(rows: Iterable[IndicatorRow], destination: str | Path | IO[str], *,
+                         keys: Sequence[str] = ()) -> None:
+    emit(_indicator_table(rows, keys), "json", destination)

@@ -21,7 +21,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .columns import renumber
-from .corpus import Attribution, Corpus, CorpusError, CorpusValidationError, Organization, _open_text
+from .corpus import Attribution, Corpus, CorpusError, CorpusValidationError, Organization, _open_text, _target_fault
 from .reporting import Table, emit
 
 _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
@@ -101,17 +101,24 @@ def _candidates(index: tuple[dict[str, list[int]], tuple[int, ...], bool], text:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Ordered rules, the compile-time conflict report, and a token-start index
-    that narrows `match` to candidates; it takes no part in equality, hash or repr."""
+    """Ordered rules and their compile warnings. The conflict report and a
+    token-start index that narrows `match` to candidates are derived from the
+    rules; neither takes part in equality or hash, and the index not in repr."""
 
     rules: tuple[Rule, ...]
-    conflicts: tuple[RuleConflict, ...]
     warnings: tuple[str, ...] = ()
-    _index: tuple | None = field(default=None, compare=False, repr=False)
+    conflicts: tuple[RuleConflict, ...] = field(init=False, compare=False)
+    _index: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._index is None:
-            object.__setattr__(self, "_index", _key_index(self.rules))
+        rules = self.rules
+        index = _key_index(rules)
+        # A pattern's candidates include every pattern it contains; pairs sort in file order.
+        pairs = sorted({(min(i, j), max(i, j)) for j, b in enumerate(rules)
+                        for i in _candidates(index, b.pattern) if i != j
+                        and rules[i].target != b.target and rules[i].pattern in b.pattern})
+        object.__setattr__(self, "conflicts", tuple(RuleConflict(rules[i], rules[j]) for i, j in pairs))
+        object.__setattr__(self, "_index", index)
 
     def match(self, normalized: str) -> Rule | None:
         """The first rule in file order whose pattern occurs in `normalized`."""
@@ -127,8 +134,8 @@ def compile_rules(
 ) -> RuleSet:
     """Compile a rule file (`PATTERN<TAB>ORG_ID[<TAB>SUBUNIT_ID]`).
 
-    Patterns are normalized with the address normalizer. Unknown
-    organizations or empty patterns are hard errors naming the line;
+    Patterns are normalized with the address normalizer. An empty pattern
+    or a target that `corpus._target_fault` refuses is an error naming the line;
     duplicate (pattern, target) pairs are dropped with a warning.
     Containment between patterns with different targets is reported as a
     conflict, never resolved silently.
@@ -150,17 +157,9 @@ def compile_rules(
             if not pattern:
                 raise RuleError(f"rules line {lineno}: pattern is empty after normalization")
             org_id = parts[1].strip()
-            if org_id not in organizations:
-                raise RuleError(f"rules line {lineno}: unknown organization {org_id!r}")
             subunit_id = parts[2].strip() if len(parts) == 3 and parts[2].strip() else None
-            if subunit_id is not None:
-                subunit = organizations.get(subunit_id)
-                if subunit is None:
-                    raise RuleError(f"rules line {lineno}: unknown sub-unit {subunit_id!r}")
-                if subunit.parent_id != org_id:
-                    raise RuleError(
-                        f"rules line {lineno}: sub-unit {subunit_id!r} does not belong to {org_id!r}"
-                    )
+            if fault := _target_fault(organizations, org_id, subunit_id):
+                raise RuleError(f"rules line {lineno}: {fault}")
             key = (pattern, org_id, subunit_id)
             if key in seen:
                 warnings.append(
@@ -170,14 +169,7 @@ def compile_rules(
                 continue
             seen.add(key)
             rules.append(Rule(pattern, sys.intern(org_id), subunit_id, lineno))
-
-    index = _key_index(rules)
-    # A pattern's candidates include every pattern it contains; pairs sort in file order.
-    pairs = sorted({(min(i, j), max(i, j)) for j, b in enumerate(rules)
-                    for i in _candidates(index, b.pattern) if i != j
-                    and rules[i].target != b.target and rules[i].pattern in b.pattern})
-    conflicts = tuple(RuleConflict(rules[i], rules[j]) for i, j in pairs)
-    return RuleSet(tuple(rules), conflicts, tuple(warnings), index)
+    return RuleSet(tuple(rules), tuple(warnings))
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,36 +215,11 @@ class ReconcileResult:
 _SAMPLE_IDS = 5
 
 
-def _attributions_for(
-    matches: list[tuple[str, str | None]],
-    organizations: Mapping[str, Organization],
-    known: dict[tuple[str, str | None], tuple],
-) -> tuple[tuple[str, str | None, int], ...]:
+def _attributions_for(matches: list[tuple[str, str | None]]) -> tuple[tuple[str, str | None, int], ...]:
     """Distinct targets weighted 1/m per organization, split over its sub-units,
-    as (org_id, subunit_id, k) triples of weight 1/k in attribution order.
-
-    A target missing from `organizations`, or a sub-unit that belongs to
-    another organization there (rules compiled against other registries),
-    raises CorpusValidationError. `known` maps each target already found in
-    `organizations` to its sort key, and each one found is added to it, so
-    a caller that passes one dict for all its calls checks each target once.
-    """
-    distinct = dict.fromkeys(matches)
-    unknown = []
-    for target in distinct:
-        if target not in known:
-            org_id, subunit_id = target
-            if org_id in organizations and (
-                subunit_id is None or getattr(organizations.get(subunit_id), "parent_id", None) == org_id
-            ):
-                # Attribution order: by organization, its org-level share first.
-                known[target] = (org_id, subunit_id is not None, subunit_id or "")
-            else:
-                label = org_id if subunit_id is None else f"{org_id}/{subunit_id}"
-                unknown.append(f"rule target {label} does not match the corpus's organizations")
-    if unknown:
-        raise CorpusValidationError(unknown)
-    targets = sorted(distinct, key=known.__getitem__)
+    as (org_id, subunit_id, k) triples of weight 1/k in attribution order:
+    by organization, its org-level share first."""
+    targets = sorted(set(matches), key=lambda t: (t[0], t[1] is not None, t[1] or ""))
     n_targets: dict[str, int] = {}
     for org_id, _ in targets:
         n_targets[org_id] = n_targets.get(org_id, 0) + 1
@@ -270,9 +237,10 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     1/m is split equally among them, so weights always sum to exactly 1.
     Records with no match get empty attributions, replacing any they
     carried. Each distinct address list is matched once, and each
-    distinct address once, by `RuleSet.match`; each distinct matched
-    target is checked once against `corpus.organizations`, and each
-    distinct weighted target built once as an `Attribution`. The result
+    distinct address once, by `RuleSet.match`; the distinct matched
+    targets are checked once against `corpus.organizations` (a rule set
+    compiled for other registries raises CorpusValidationError), and each
+    distinct weighted target is built once as an `Attribution`. The result
     shares every column with `corpus` but the attribution column.
     `threads` is accepted for compatibility and has no effect.
     """
@@ -293,7 +261,6 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
     # Distinct match profiles are few: one attribution code per profile,
     # and one per distinct tuple of weighted targets.
     profile_codes: dict[tuple, int] = {}
-    known_targets: dict[tuple[str, str | None], tuple] = {}
     attribution_codes: dict[tuple[tuple[str, str | None, int], ...], int] = {(): 0}
     list_attributions: list[int] = []
 
@@ -323,9 +290,13 @@ def reconcile_corpus(corpus: Corpus, rules: RuleSet, threads: int = 1) -> Reconc
             profile = tuple(matches)
             attribution = profile_codes.get(profile)
             if attribution is None:
-                atts = _attributions_for(matches, corpus.organizations, known_targets)
+                atts = _attributions_for(matches)
                 attribution = profile_codes[profile] = attribution_codes.setdefault(atts, len(attribution_codes))
         list_attributions.append(attribution)
+    unknown = sorted("/".join(filter(None, target)) for target in set(target_cache.values()).difference([None])
+                     if _target_fault(corpus.organizations, *target))
+    if unknown:
+        raise CorpusValidationError([f"rule target {t} does not match the corpus's organizations" for t in unknown])
 
     def sample_ids(lists) -> tuple[str, ...]:
         """Ids of the first records, in id order, that carry any of `lists`."""

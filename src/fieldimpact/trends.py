@@ -128,9 +128,11 @@ def series_growth(
     )
 
 
-def write_trend_csv(stats: Iterable[GrowthStat], destination: str | Path | IO[str]) -> None:
+def write_trend_csv(stats: Iterable[GrowthStat], destination: str | Path | IO[str], *,
+                    keys: Sequence[str] = ()) -> None:
+    """Write `stats` as CSV; without stats the slice-key columns are `keys`."""
     stats = list(stats)
-    slice_keys = tuple(k for k, _ in stats[0].entity) if stats else ()
+    slice_keys = tuple(k for k, _ in stats[0].entity) if stats else tuple(keys)
     columns = ("metric", "first_year", "last_year", "avg_annual_increase_pct", "unstable_base_flag")
     rows = tuple(
         tuple(v for _, v in stat.entity)

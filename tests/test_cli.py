@@ -208,6 +208,13 @@ class TestTrendCmd:
         assert "skipped" in err
         assert (out / "trend_nation.csv").exists()
 
+    def test_empty_trend_table_keeps_its_slice_keys(self, tiny_corpus_files, tmp_path):
+        out = tmp_path / "tr"
+        assert dispatch(["trend", *args_corpus(tiny_corpus_files), "--slice", "discipline", "--out-dir", str(out)]) == 0
+        assert (out / "trend_discipline.csv").read_text() == (
+            "discipline,metric,first_year,last_year,avg_annual_increase_pct,unstable_base_flag\n"
+        )
+
 
 class TestSynthCmds:
     def test_synth_generates_from_spec_file(self, tmp_path, capsys):
@@ -597,6 +604,20 @@ class TestBadInputDiagnostics:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: benchmark CSV line")
         assert err[0].endswith(message)
+
+    def test_empty_indicator_table_keeps_its_slice_keys(self, tiny_corpus_files, capsys):
+        """An xcr table with no cell for the corpus's years excludes every record."""
+        xcr = self.write(tiny_corpus_files, "xcr.csv", "year,field_id,n,xcr\n1999,F1,2,1.0\n")
+        out = tiny_corpus_files["dir"] / "out"
+        code, _ = self.run(
+            ["indicators", *args_corpus(tiny_corpus_files), "--slice", "discipline,year", "--xcr-csv", str(xcr),
+             "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert (out / "indicators_discipline_year.csv").read_text() == (
+            "discipline,year,weight,n_excluded,mean_cx,top_share_pct,mean_cjx\n"
+        )
 
     def test_xcr_csv_wrong_header(self, tiny_corpus_files, capsys):
         xcr = self.write(tiny_corpus_files, "xcr.csv", "year,journal_id,n,jxcr\n2003,J1,2,1.0\n")

@@ -75,6 +75,16 @@ class TestParseCorpus:
         joined = "\n".join(exc.value.diagnostics)
         assert "NOFIELD" in joined
 
+    def test_subunit_credited_as_organization_is_dangling(self, tiny_corpus_files, capsys):
+        """A sub-unit in the org slot would be ranked beside its own parent."""
+        files = tiny_corpus_files
+        files["orgs"].write_text(files["orgs"].read_text(encoding="utf-8") + "A_LAB,Alpha Lab,U,A\n", encoding="utf-8")
+        files["pubs"].write_text(jsonl([pub("p1", attributions=[att("A_LAB")])]), encoding="utf-8")
+        assert dispatch(["validate", *args_corpus(files)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "dangling organization reference(s): A_LAB", "validation failed: 1 diagnostic(s)",
+        ]
+
     def test_ingest_idempotent(self):
         pubs = [pub("p1", citations=3), pub("p2", journal="J2", citations=1)]
         a = mk_corpus(pubs)
@@ -259,6 +269,7 @@ class TestRegistryRejections:
         ("J3,Journal Three,high,F1", "journals line 4: invalid impact_factor 'high'"),
         ("J3,Journal Three,,F1", "journals line 4: invalid impact_factor ''"),
         ("J3,Journal Three,1.0, ; ", "journals line 4: journal 'J3' has no fields"),
+        ("J3,Journal Three,1.0,F1; F1", "journals line 4: journal 'J3' lists a field more than once"),
     ])
     def test_journals(self, tiny_corpus_files, capsys, line, diagnostic):
         self.assert_rejected(tiny_corpus_files, capsys, "journals", load_journals, line, diagnostic)

@@ -465,7 +465,10 @@ CLEAN = {
         [{"org": "A", "weight": "1"}], [att("A", "1/2"), att("B", "1/2")], [att("A", "1", "A_L1")],
     ],
 }
-DANGLING = {"journal": ["GHOST"], "fields": [["NOFIELD"]], "attributions": [[att("GHOST")], [att("B", "1", "A_L1")]]}
+DANGLING = {
+    "journal": ["GHOST"], "fields": [["NOFIELD"]],
+    "attributions": [[att("GHOST")], [att("B", "1", "A_L1")], [att("A_L1")]],
+}
 BAD = {
     "id": ["", 1, None, _ABSENT],
     "year": [True, "2001", 2001.0, None, _ABSENT],
@@ -541,7 +544,7 @@ def ingest_oracle(text: str):
     dangling = (
         ("journal", {r.journal_id for r in records} - {j for j, *_ in INGEST_JOURNALS}),
         ("field", fields - set(INGEST_SCHEME)),
-        ("organization", {a.org_id for a in atts if a.org_id not in orgs}
+        ("organization", {a.org_id for a in atts if a.org_id not in orgs or orgs[a.org_id] is not None}
          | {a.subunit_id for a in atts if a.subunit_id is not None and orgs.get(a.subunit_id, "") != a.org_id}),
     )
     references = [f"dangling {what} reference(s): " + ", ".join(sorted(names)) for what, names in dangling if names]

@@ -3,6 +3,7 @@ import re
 import unicodedata
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,21 @@ class TestCompileRules:
         rs = ruleset("# comment\n\nalpha\tORG_A\n")
         assert len(rs.rules) == 1
         assert rs.rules[0].source_line == 3
+
+    def test_subunit_named_as_organization_is_refused(self, tmp_path, capsys):
+        """On the golden fixture, a lab in the ORG column would be ranked beside its own university."""
+        src = Path(__file__).parent / "golden" / "fixture" / "input"
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("alpha laser lab\tA_LAB\n", encoding="utf-8")
+        message = "rules line 1: 'A_LAB' is a sub-unit of 'A', not an organization"
+        with pytest.raises(RuleError) as exc:
+            compile_rules(rules, load_organizations(src / "orgs.csv"))
+        assert str(exc.value) == message
+        argv = ["rank", "--pubs", str(src / "publications.jsonl"), "--journals", str(src / "journals.csv"),
+                "--orgs", str(src / "orgs.csv"), "--fields", str(src / "fields.csv"), "--rules", str(rules),
+                "--min-weight", "0", "--out", "-"]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_subunit_must_belong_to_org(self):
         orgs = ORGS3 + [("SUB1", "Sub One", "RI", "ORG_B")]
@@ -265,7 +281,7 @@ class TestTokenIndex:
         first, second = ruleset(text), ruleset(text)
         assert first == second and hash(first) == hash(second)
         assert repr(first) == repr(second)
-        rebuilt = RuleSet(first.rules, first.conflicts, first.warnings)
+        rebuilt = RuleSet(first.rules, first.warnings)
         assert rebuilt == first and hash(rebuilt) == hash(first)
         for rule in first.rules:
             assert rebuilt.match(rule.pattern) is first.match(rule.pattern)
@@ -485,6 +501,22 @@ class TestRuleTargetGuard:
         )
         with pytest.raises(CorpusValidationError, match="rule target ORG_B/SUB1 does not match"):
             reconcile_corpus(corpus, rs)
+
+    def test_subunit_named_as_organization_raises(self):
+        rs = ruleset("beta sub one\tSUB1\n", orgs=ORGS3 + [("SUB1", "Sub One", "RI", None)])
+        corpus = mk_corpus([pub("p1", addresses=["beta sub one"])], orgs=self.ORGS)
+        with pytest.raises(CorpusValidationError) as exc:
+            reconcile_corpus(corpus, rs)
+        assert exc.value.diagnostics == ["rule target SUB1 does not match the corpus's organizations"]
+
+    def test_every_unknown_target_is_listed_once_in_sorted_order(self):
+        rs = ruleset("org beta\tORG_B\norg alpha\tORG_A\nbeta sub one\tORG_B\tSUB1\n", orgs=self.ORGS)
+        pubs = [pub("p1", addresses=["org beta"]), pub("p2", addresses=["org alpha", "beta sub one"]),
+                pub("p3", addresses=["org beta", "org alpha"])]
+        with pytest.raises(CorpusValidationError) as exc:
+            reconcile_corpus(mk_corpus(pubs, orgs=ORGS3[:1]), rs)
+        assert exc.value.diagnostics == [f"rule target {t} does not match the corpus's organizations"
+                                         for t in ("ORG_A", "ORG_B", "ORG_B/SUB1")]
 
     def test_unmatched_targets_are_not_checked(self):
         rs = ruleset("org beta\tORG_B\norg alpha\tORG_A\n", orgs=self.ORGS)
