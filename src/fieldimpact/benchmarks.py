@@ -24,21 +24,7 @@ from .reporting import Table, emit
 
 
 class BenchmarkError(CorpusError):
-    """Base class for benchmark construction and lookup failures."""
-
-
-class MissingBenchmarkError(BenchmarkError):
-    def __init__(self, year: int, key: str, kind: str):
-        self.year = year
-        self.key = key
-        super().__init__(f"missing benchmark for ({year}, {key}) [{kind}]")
-
-
-class DegenerateBenchmarkError(BenchmarkError):
-    def __init__(self, year: int, key: str, kind: str):
-        self.year = year
-        self.key = key
-        super().__init__(f"degenerate benchmark (mean 0) for ({year}, {key}) [{kind}]")
+    """Benchmark construction and lookup failures."""
 
 
 class BenchmarkCell(NamedTuple):
@@ -54,11 +40,12 @@ class CitationBenchmarkTable:
     cells: Mapping[tuple[int, str], BenchmarkCell]
 
     def expected(self, year: int, key: str) -> float:
+        """The cell's mean; a missing or a degenerate (mean 0) cell raises BenchmarkError."""
         cell = self.cells.get((year, key))
         if cell is None:
-            raise MissingBenchmarkError(year, key, self.kind)
+            raise BenchmarkError(f"missing benchmark for ({year}, {key}) [{self.kind}]")
         if cell.mean == 0.0:
-            raise DegenerateBenchmarkError(year, key, self.kind)
+            raise BenchmarkError(f"degenerate benchmark (mean 0) for ({year}, {key}) [{self.kind}]")
         return cell.mean
 
 
@@ -130,8 +117,9 @@ def classify_top_journals(
     """Per field: top ceil(fraction * n) journals by impact factor, ties included.
 
     All journals sharing the boundary impact factor are included. Fields
-    known to the scheme but carrying no journals map to empty sets. The
-    ceiling is taken of the decimal value of `fraction` times n, exactly.
+    known to the scheme but carrying no journals map to empty sets. A
+    journal counts once in each field it lists, however often it lists it.
+    The ceiling is taken of the decimal value of `fraction` times n, exactly.
     """
     if not 0 < fraction <= 1:
         raise BenchmarkError(f"fraction must be in (0, 1], got {fraction}")
@@ -139,7 +127,7 @@ def classify_top_journals(
     cutoff = Fraction(str(fraction))
     per_field: dict[str, list[Journal]] = {field_id: [] for field_id in field_scheme.fields()}
     for journal in journals.values():
-        for field_id in journal.field_ids:
+        for field_id in dict.fromkeys(journal.field_ids):
             per_field.setdefault(field_id, []).append(journal)
 
     by_field: dict[str, frozenset[str]] = {}

@@ -16,9 +16,10 @@ expands every record into one row per (context, share), groups the rows
 by one stable sort and reduces each group. Benchmark values come from
 tables indexed by column codes: expected rates per (year code, field set
 code), journal rates per (year code, journal code), and top-journal
-flags per (journal code, field code), OR-reduced over each record's
-fields. Weights and slice labels are made once per distinct attribution.
-Its exactness contract:
+flags per (journal code, field-list code), true where the journal is top
+in any field of the list. A rate cell that `expected` refuses (missing or
+mean 0) reads as NaN. Weights and slice labels are made once per distinct
+attribution. Its exactness contract:
 
 - the float expressions are those of the scalar definition: one rate
   `_mean_expected_rate(...)` per (year, field set) cell that some row
@@ -197,7 +198,10 @@ def aggregate(
     used[cell_year, cell_sub] = True
     rate = np.full(used.shape, math.nan)
     for y, s in zip(*np.nonzero(used)):
-        rate[y, s] = _or_nan(_mean_expected_rate, years[y], subs[s], benchmarks.xcr)
+        try:
+            rate[y, s] = _mean_expected_rate(years[y], subs[s], benchmarks.xcr)
+        except BenchmarkError:
+            pass
     with np.errstate(over="ignore"):
         ratio = cols.citations[crec] / rate[cell_year, cell_sub]
     del cell_year, cell_sub, used
@@ -232,7 +236,7 @@ def aggregate(
     valid = ~np.isnan(ratio)
     first = np.concatenate(([True], rec[1:] != rec[:-1]))
     first[starts] = True
-    top = _is_top(cols, top_set)[rec] & valid
+    top = _top_flags(cols, top_set)[cols.journal, cols.fields][rec] & valid
     top_cjx = top & ~np.isnan(cjx)
 
     def total(x, dtype=None) -> list:
@@ -306,42 +310,29 @@ def _combine(code: np.ndarray, span: int, label: np.ndarray, radix: int) -> tupl
 
 
 def _journal_rates(cols: RecordColumns, jxcr: CitationBenchmarkTable) -> np.ndarray:
-    """Expected rate per (year code, journal code) of `cols`; NaN where the
-    jxcr cell is missing or degenerate."""
+    """Expected rate per (year code, journal code) of `cols`, read through
+    `jxcr.expected`; NaN where that cell is missing or degenerate."""
     year_code = {y: i for i, y in enumerate(cols.years)}
     journal_code = {j: i for i, j in enumerate(cols.journals)}
     rates = np.full((len(cols.years), len(cols.journals)), math.nan)
-    for (year, journal), cell in jxcr.cells.items():
-        if cell.mean != 0.0 and year in year_code and journal in journal_code:
-            rates[year_code[year], journal_code[journal]] = cell.mean
+    for year, journal in jxcr.cells:
+        if year in year_code and journal in journal_code:
+            try:
+                rates[year_code[year], journal_code[journal]] = jxcr.expected(year, journal)
+            except BenchmarkError:
+                pass
     return rates
 
 
-def _is_top(cols: RecordColumns, top_set: TopJournalSet) -> np.ndarray:
-    """Per record: is its journal top in any of its fields?
-
-    Flags come from a journal x field table, OR-reduced over each record's
-    own fields; every field tuple is non-empty.
-    """
-    field_of_item, fields = encode(f for t in cols.field_tuples for f in t)
-    field_code = {f: i for i, f in enumerate(fields)}
+def _top_flags(cols: RecordColumns, top_set: TopJournalSet) -> np.ndarray:
+    """Per (journal code, field-list code) of `cols`: is the journal top in
+    any field of the list?"""
     journal_code = {j: i for i, j in enumerate(cols.journals)}
-    flags = np.zeros((len(cols.journals), len(fields)), bool)
-    for field, members in top_set.by_field.items():
-        if field in field_code:
-            flags[[journal_code[j] for j in members if j in journal_code], field_code[field]] = True
-    lengths = np.array([len(t) for t in cols.field_tuples])
-    rec, item = expand(cols.fields, lengths)
-    counts = lengths[cols.fields]
-    return np.logical_or.reduceat(flags[cols.journal[rec], field_of_item[item]], np.cumsum(counts) - counts)
-
-
-def _or_nan(expected, *args) -> float:
-    """An expected rate, or NaN when its benchmark cell is missing or degenerate."""
-    try:
-        return expected(*args)
-    except BenchmarkError:
-        return math.nan
+    members = {f: [journal_code[j] for j in js if j in journal_code] for f, js in top_set.by_field.items()}
+    flags = np.zeros((len(cols.journals), len(cols.field_tuples)), bool)
+    for t, fields in enumerate(cols.field_tuples):
+        flags[[c for f in fields for c in members.get(f, ())], t] = True
+    return flags
 
 
 # Concentration of organization types across disciplines.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +130,23 @@ def first_match_oracle(normalized: str, rules):
         if rule.pattern in normalized:
             return rule
     return None
+
+
+def top_decile_oracle(journals, fraction=0.10):
+    """Brute force: per field, sort by IF descending and include everything
+    tied with the k-th impact factor, k = ceil(fraction * n) of the decimal
+    `fraction`, exactly. A journal counts once in each field it lists."""
+    fields = {}
+    for j in journals:
+        for f in set(j.field_ids):
+            fields.setdefault(f, []).append(j)
+    out = {}
+    for f, members in fields.items():
+        ifs = sorted((j.impact_factor for j in members), reverse=True)
+        k = math.ceil(Fraction(str(fraction)) * len(ifs))
+        boundary = ifs[k - 1]
+        out[f] = frozenset(j.id for j in members if j.impact_factor >= boundary)
+    return out
 
 
 def conflict_oracle(rules) -> tuple[RuleConflict, ...]:

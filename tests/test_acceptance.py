@@ -32,7 +32,7 @@ from fieldimpact.synth import (
 )
 from fieldimpact.trends import avg_annual_increase
 
-from conftest import first_match_oracle, jsonl, journals_csv, orgs_csv, pub, scheme_csv
+from conftest import first_match_oracle, jsonl, journals_csv, orgs_csv, pub, scheme_csv, top_decile_oracle
 
 
 @contextmanager
@@ -284,20 +284,6 @@ def test_criterion_7_reconciliation_fixture(tmp_path):
 # --- Criterion 8: top-decile classification against a brute-force oracle. --
 
 
-def brute_force_top_decile(journals, fraction=0.10):
-    per_field: dict[str, list] = {}
-    for j in journals:
-        for f in j.field_ids:
-            per_field.setdefault(f, []).append(j)
-    out = {}
-    for f, members in per_field.items():
-        ranked = sorted((j.impact_factor for j in members), reverse=True)
-        k = math.ceil(fraction * len(ranked))
-        boundary = ranked[k - 1]
-        out[f] = frozenset(j.id for j in members if j.impact_factor >= boundary)
-    return out
-
-
 def test_criterion_8_top_decile_oracle():
     with criterion(8, "200 random IF tables agree with the sort-and-count oracle"):
         rng = np.random.default_rng(20118815)
@@ -308,7 +294,7 @@ def test_criterion_8_top_decile_oracle():
                 Journal(f"J{i:04d}", f"Journal {i}", float(ifs[i]), ("F1",)) for i in range(n)
             ]
             top = classify_top_journals({j.id: j for j in journals}, FieldScheme({"F1": "Physics"}))
-            expected = brute_force_top_decile(journals)
+            expected = top_decile_oracle(journals)
             assert top.by_field["F1"] == expected["F1"], trial
             count = len(top.by_field["F1"])
             assert math.ceil(0.1 * n) <= count <= n

@@ -7,8 +7,6 @@ import pytest
 
 from fieldimpact.benchmarks import (
     BenchmarkError,
-    DegenerateBenchmarkError,
-    MissingBenchmarkError,
     classify_top_journals,
     compute_jxcr,
     compute_xcr,
@@ -20,23 +18,7 @@ from fieldimpact.benchmarks import (
 from fieldimpact.cli import dispatch
 from fieldimpact.corpus import FieldScheme, Journal
 
-from conftest import args_corpus, mk_corpus, pub
-
-
-def top_decile_oracle(journals, fraction=0.10):
-    """Brute force: per field, sort by IF descending and include everything
-    tied with the ceil(fraction*n)-th impact factor."""
-    fields = {}
-    for j in journals:
-        for f in j.field_ids:
-            fields.setdefault(f, []).append(j)
-    out = {}
-    for f, members in fields.items():
-        ifs = sorted((j.impact_factor for j in members), reverse=True)
-        k = math.ceil(fraction * len(ifs))
-        boundary = ifs[k - 1]
-        out[f] = frozenset(j.id for j in members if j.impact_factor >= boundary)
-    return out
+from conftest import args_corpus, mk_corpus, pub, top_decile_oracle
 
 
 def classify(journals, fraction=0.10):
@@ -88,14 +70,14 @@ class TestExpectedCitationRates:
     def test_absent_cell_signals_missing(self):
         corpus = mk_corpus([pub("p1", year=2004)])
         table = compute_jxcr(corpus)
-        with pytest.raises(MissingBenchmarkError, match="2005"):
+        with pytest.raises(BenchmarkError, match=r"^missing benchmark for \(2005, J1\) \[journal\]$"):
             table.expected(2005, "J1")
 
     def test_zero_mean_cell_is_flagged_and_degenerate_at_lookup(self):
         corpus = mk_corpus([pub("p1", citations=0), pub("p2", citations=0)])
         table = compute_xcr(corpus)
         assert table.cells == {(2003, "F1"): (2, 0.0)}
-        with pytest.raises(DegenerateBenchmarkError):
+        with pytest.raises(BenchmarkError, match=r"^degenerate benchmark \(mean 0\) for \(2003, F1\) \[field\]$"):
             table.expected(2003, "F1")
 
     def test_self_normalization_within_tolerance(self):
@@ -129,6 +111,13 @@ class TestTopJournals:
         journals = [journal(f"J{i}", float(i)) for i in range(10)]
         top = classify(journals)
         assert top.by_field["F1"] == top_decile_oracle(journals)["F1"] == frozenset({"J9"})
+
+    def test_journal_listing_a_field_twice_fills_one_slot(self):
+        # Ten journals in F1 with impact factors 10 down to 1 keep one; J1,
+        # listing F1 twice, must not take a second slot.
+        journals = [journal(f"J{i}", float(10 - i)) for i in range(10)]
+        journals[1] = journal("J1", 9.0, ("F1", "F1"))
+        assert classify(journals).by_field["F1"] == top_decile_oracle(journals)["F1"] == frozenset({"J0"})
 
     def test_single_journal_is_top(self):
         top = classify([journal("J1", 0.5)])

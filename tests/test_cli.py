@@ -86,6 +86,16 @@ class TestRuleFileReport:
         assert len(reported[0]) == 3
         assert reported[1:] == [reported[0]] * 3
 
+    def test_reconcile_prints_the_rule_file_warnings(self, tmp_path, capsys):
+        """A rule repeated on the golden fixture: reconcile names its second line on stderr and exits 0."""
+        src = Path(__file__).parent / "golden" / "fixture" / "input"
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("univ alpha\tA\n" * 2, encoding="utf-8")
+        corpus = ["--pubs", str(src / "publications.jsonl"), "--journals", str(src / "journals.csv"),
+                  "--orgs", str(src / "orgs.csv"), "--fields", str(src / "fields.csv"), "--rules", str(rules)]
+        assert dispatch(["reconcile", *corpus, "--out-dir", str(tmp_path / "out")]) == 0
+        assert "rules line 2: duplicate rule 'univ alpha' -> A" in capsys.readouterr().err.splitlines()
+
 
 class TestBenchmarkCmd:
     def test_writes_three_tables(self, tiny_corpus_files, tmp_path):
