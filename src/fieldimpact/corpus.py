@@ -44,6 +44,10 @@ from .columns import CODED, RecordColumns, encode, select
 # and 1 / n must not round to 0.
 _COUNT_BOUND = 2**53
 
+_JOURNALS_HEADER = ("journal_id", "name", "impact_factor", "fields")
+_ORGS_HEADER = ("org_id", "name", "org_type", "parent_id")
+_FIELD_SCHEME_HEADER = ("field_id", "discipline_id")
+
 
 class CorpusError(ValueError):
     """Base class for ingest and validation failures."""
@@ -207,7 +211,6 @@ class Corpus:
     journals: Mapping[str, Journal]
     organizations: Mapping[str, Organization]
     field_scheme: FieldScheme
-    census_date: date | None = None
 
     @property
     def records(self) -> RecordView:
@@ -476,7 +479,7 @@ def load_journals(source: PathOrIO) -> dict[str, Journal]:
     """Load the journal registry from `journal_id,name,impact_factor,fields` CSV."""
     journals: dict[str, Journal] = {}
     diagnostics: list[str] = []
-    for lineno, row in _read_csv(source, ("journal_id", "name", "impact_factor", "fields"), "journals"):
+    for lineno, row in _read_csv(source, _JOURNALS_HEADER, "journals"):
         if len(row) != 4:
             diagnostics.append(f"journals line {lineno}: expected 4 columns, got {len(row)}")
             continue
@@ -517,7 +520,7 @@ def load_organizations(source: PathOrIO) -> dict[str, Organization]:
     """Load the organization registry from `org_id,name,org_type,parent_id` CSV."""
     orgs: dict[str, Organization] = {}
     diagnostics: list[str] = []
-    for lineno, row in _read_csv(source, ("org_id", "name", "org_type", "parent_id"), "orgs"):
+    for lineno, row in _read_csv(source, _ORGS_HEADER, "orgs"):
         if len(row) != 4:
             diagnostics.append(f"orgs line {lineno}: expected 4 columns, got {len(row)}")
             continue
@@ -575,7 +578,7 @@ def load_field_scheme(source: PathOrIO) -> FieldScheme:
     """Load the field scheme from `field_id,discipline_id` CSV."""
     mapping: dict[str, str] = {}
     diagnostics: list[str] = []
-    for lineno, row in _read_csv(source, ("field_id", "discipline_id"), "fieldscheme"):
+    for lineno, row in _read_csv(source, _FIELD_SCHEME_HEADER, "fieldscheme"):
         if len(row) != 2:
             diagnostics.append(f"fieldscheme line {lineno}: expected 2 columns, got {len(row)}")
             continue
@@ -697,7 +700,6 @@ def parse_corpus(
     journals: PathOrIO,
     orgs: PathOrIO,
     field_scheme: PathOrIO,
-    census_date: date | str | None = None,
 ) -> Corpus:
     """Ingest and validate the four corpus files into an immutable Corpus.
 
@@ -737,7 +739,6 @@ def parse_corpus(
         journals=journal_registry,
         organizations=org_registry,
         field_scheme=scheme,
-        census_date=_as_date(census_date, "census_date") if census_date is not None else None,
     )
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .benchmarks import classify_top_journals, compute_benchmarks
 from .columns import RecordColumns, encode
-from .corpus import DEFAULT_DISCIPLINES, CorpusError, DocType, OrgType, _write_columns, parse_corpus
+from .corpus import (_FIELD_SCHEME_HEADER, _JOURNALS_HEADER, _ORGS_HEADER, DEFAULT_DISCIPLINES, CorpusError,
+                     DocType, OrgType, _write_columns, parse_corpus)
 from .indicators import IndicatorRow, aggregate
 from .reconcile import compile_rules, normalize_address, reconcile_corpus
 from .reporting import Table, emit
@@ -242,15 +243,15 @@ def generate_corpus(spec: SynthSpec, out_dir: str | Path) -> GeneratedCorpus:
                          for i, jid in enumerate(ids)]
         journal_ids[prof.field_id] = ids
     journals_path = out / "journals.csv"
-    emit(Table(("journal_id", "name", "impact_factor", "fields"), tuple(journal_rows)), "csv", journals_path)
+    emit(Table(_JOURNALS_HEADER, tuple(journal_rows)), "csv", journals_path)
 
     orgs_path = out / "orgs.csv"
     org_rows = tuple((org.org_id, org.name, org.org_type, None) for org in spec.orgs)
-    emit(Table(("org_id", "name", "org_type", "parent_id"), org_rows), "csv", orgs_path)
+    emit(Table(_ORGS_HEADER, org_rows), "csv", orgs_path)
 
     scheme_path = out / "fieldscheme.csv"
     scheme_rows = tuple((prof.field_id, prof.discipline_id) for prof in spec.fields)
-    emit(Table(("field_id", "discipline_id"), scheme_rows), "csv", scheme_path)
+    emit(Table(_FIELD_SCHEME_HEADER, scheme_rows), "csv", scheme_path)
 
     rules_path = out / "rules.tsv"
     with open(rules_path, "w", encoding="utf-8", newline="") as fh:

@@ -49,7 +49,6 @@ def mk_corpus(
     journals: list[tuple] | None = None,
     orgs: list[tuple] | None = None,
     scheme: dict[str, str] | None = None,
-    census_date=None,
 ) -> Corpus:
     """Build a validated corpus from in-memory pieces.
 
@@ -71,7 +70,6 @@ def mk_corpus(
         io.StringIO(journals_csv(journals)),
         io.StringIO(orgs_csv(orgs)),
         io.StringIO(scheme_csv(scheme)),
-        census_date=census_date,
     )
 
 

@@ -28,7 +28,7 @@ from fieldimpact.corpus import snapshot_path
 
 FIXTURE = Path(__file__).parent / "golden" / "fixture" / "input"
 INPUTS = ("publications.jsonl", "journals.csv", "orgs.csv", "fields.csv", "rules.tsv", "xcr_partial.csv")
-CONFIG = {"census_date": "2009-06-30", "fraction": 0.1, "min_weight": 0, "limit": 10, "metrics": "mean_cx,weight"}
+CONFIG = {"fraction": 0.1, "min_weight": 0, "limit": 10, "metrics": "mean_cx,weight"}
 SNAPSHOT = "snapshot"
 EDITS = ("truncate", "flip", "delete line", "double line", "invalid utf-8")
 INVALID_UTF8 = (b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80")

@@ -418,6 +418,53 @@ class TestBadInputDiagnostics:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("usage error: " + message)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reconcile"], "missing required option --rules"),
+            (["indicators", "--xcr-csv", "{missing}"], "--xcr-csv does not exist: {missing}"),
+            (["indicators", "--jxcr-csv", "{missing}"], "--jxcr-csv does not exist: {missing}"),
+            (["indicators", "--top-csv", "{missing}"], "--top-csv does not exist: {missing}"),
+            (["indicators", "--slice", "org", "--rules", "{missing}"], "--rules does not exist: {missing}"),
+            (["trend", "--slice", "org", "--rules", "{missing}"], "--rules does not exist: {missing}"),
+        ],
+    )
+    def test_option_fault_fails_before_ingest(self, tiny_corpus_files, capsys, monkeypatch, argv, message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_ingest)
+        missing = str(tiny_corpus_files["dir"] / "nonexistent")
+        out = tiny_corpus_files["dir"] / "out"
+        argv = [arg.format(missing=missing) for arg in argv]
+        code, err = self.run([argv[0], *args_corpus(tiny_corpus_files), *argv[1:], "--out-dir", str(out)], capsys)
+        assert (code, err) == (2, ["usage error: " + message.format(missing=missing)])
+        assert not out.exists()
+
+    # One bad string per option whose converter is more than "a string" or "a path".
+    BAD_VALUES = {
+        "threads": "x", "fraction": "x", "slice_spec": "bogus", "group_by": "nation", "min_weight": "nan",
+        "limit": "1.5", "fmt": "xml", "metrics": "bogus", "unstable_floor": "inf", "seed": "x",
+    }
+
+    @pytest.mark.parametrize(
+        "option", [o for o in cli._OPTIONS.values() if o.convert not in (cli._text, cli._path)], ids=lambda o: o.flag
+    )
+    def test_flag_and_config_give_the_same_usage_error(self, tiny_corpus_files, capsys, monkeypatch, option):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        monkeypatch.setattr(cli, "distortion_demo", no_input)
+        bad = self.BAD_VALUES[option.dest]
+        command = next(name for name, c in cli._COMMANDS.items() if option.dest in c.required + c.optional)
+        inputs = args_corpus(tiny_corpus_files) if "pubs" in cli._COMMANDS[command].required else []
+        config = self.write(tiny_corpus_files, "run.json", json.dumps({option.dest: bad}))
+        by_flag = self.run([command, *inputs, option.flag, bad], capsys)
+        by_config = self.run([command, *inputs, "--config", str(config)], capsys)
+        assert by_flag == by_config
+        assert by_flag[0] == 2 and len(by_flag[1]) == 1 and by_flag[1][0].startswith("usage error: ")
+
     @pytest.mark.parametrize("metrics", ["bogus", ",", "mean_cx,bogus", ""])
     def test_bad_trend_metrics_fail_before_ingest(self, tiny_corpus_files, capsys, monkeypatch, metrics):
         def no_ingest(*args, **kwargs):
@@ -444,6 +491,9 @@ class TestBadInputDiagnostics:
             ("rank", {"fraction": True}),
             ("rank", {"min_weight": True}),
             ("trend", {"unstable_floor": False}),
+            # A flag's value is a string, so a string option's config value must be one.
+            ("rank", {"out": 5}),
+            ("indicators", {"slice_spec": ["org", "year"]}),
         ],
     )
     def test_config_choice_fails_before_any_input(self, tiny_corpus_files, capsys, monkeypatch, command, config):
@@ -512,6 +562,15 @@ class TestBadInputDiagnostics:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 2  # header and one row
 
+    def test_config_null_takes_the_default(self, tiny_corpus_files, capsys):
+        argv = ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
+                "--min-weight", "0", "--out", "-"]
+        assert dispatch(argv) == 0
+        plain = capsys.readouterr().out
+        config = self.write(tiny_corpus_files, "run.json", json.dumps({"limit": None, "fmt": None}))
+        assert dispatch([*argv, "--config", str(config)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_config_min_weight_not_finite(self, tiny_corpus_files, capsys):
         config = self.write(tiny_corpus_files, "run.json", json.dumps({"min_weight": "nan"}))
         code, err = self.run(
@@ -531,8 +590,7 @@ class TestBadInputDiagnostics:
             (["trend", "--slice", "year"], None, 2, "usage error: --slice must not include 'year' (it is implicit)"),
             (["trend", "--slice", "discipline,year"], None, 2,
              "usage error: --slice must not include 'year' (it is implicit)"),
-            (["validate", "--census-date", "June 2009"], None, 1, "error: census_date: invalid ISO date 'June 2009'"),
-            (["validate", "--census-date", "20090630"], None, 1, "error: census_date: invalid ISO date '20090630'"),
+            (["validate"], '{"census_date": "2009-06-30"}', 2, "usage error: unknown config key(s): 'census_date'"),
         ],
     )
     def test_option_check_message_and_exit_code(self, tiny_corpus_files, capsys, argv, config, code, message):
