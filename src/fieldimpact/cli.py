@@ -36,6 +36,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     CorpusValidationError,
+    _ingest,
     parse_corpus,
     write_publications_jsonl,
     write_snapshot,
@@ -270,10 +271,19 @@ def _resolve(name: str, args: argparse.Namespace, config: dict) -> argparse.Name
     return resolved
 
 
+def _out_path(ns: argparse.Namespace) -> Path:
+    """The output directory, which may not exist yet; commands also look there for a raw input's snapshot."""
+    return Path(ns.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+
+
 def _out_dir(ns: argparse.Namespace) -> Path:
-    path = Path(ns.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+    path = _out_path(ns)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _parse(ns: argparse.Namespace) -> Corpus:
+    return parse_corpus(ns.pubs, ns.journals, ns.orgs, ns.fields, snapshot_dir=_out_path(ns))
 
 
 def _apply_rules(corpus: Corpus, rules_path: Path):
@@ -294,7 +304,7 @@ def _apply_rules(corpus: Corpus, rules_path: Path):
 def _analysis_inputs(ns: argparse.Namespace, keys: tuple[str, ...]):
     """The corpus, benchmark tables and top-journal set for an analysis over
     `keys`; an organizational key needs --rules or records with attributions."""
-    corpus = parse_corpus(ns.pubs, ns.journals, ns.orgs, ns.fields)
+    corpus = _parse(ns)
     if any(k in _ORG_KEYS for k in keys):
         if ns.rules:
             corpus = _apply_rules(corpus, ns.rules).corpus
@@ -310,14 +320,18 @@ def _analysis_inputs(ns: argparse.Namespace, keys: tuple[str, ...]):
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
-    summary = parse_corpus(ns.pubs, ns.journals, ns.orgs, ns.fields).summary()
+    summary = _parse(ns).summary()
     print(f"{summary.n_records} records, 0 diagnostics")
     return 0
 
 
 def _cmd_reconcile(ns: argparse.Namespace) -> int:
-    result = _apply_rules(parse_corpus(ns.pubs, ns.journals, ns.orgs, ns.fields), ns.rules)
+    corpus, digest = _ingest(ns.pubs, ns.journals, ns.orgs, ns.fields, _out_path(ns))
+    result = _apply_rules(corpus, ns.rules)
     out = _out_dir(ns)
+    if digest:  # parsed from the JSON: store the columns for the next command that reads this file
+        write_snapshot(corpus, ns.pubs, out, digest)
+    del corpus
     reconciled_path = out / "publications.reconciled.jsonl"
     write_publications_jsonl(result.corpus, reconciled_path)
     snapshot = write_snapshot(result.corpus, reconciled_path)
@@ -334,7 +348,7 @@ def _cmd_reconcile(ns: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(ns: argparse.Namespace) -> int:
-    corpus = parse_corpus(ns.pubs, ns.journals, ns.orgs, ns.fields)
+    corpus = _parse(ns)
     out = _out_dir(ns)
     xcr = compute_xcr(corpus)
     jxcr = compute_jxcr(corpus)

@@ -19,19 +19,22 @@ every record, so only this copy pins the generator's own key order and
 spacing.
 
 The expected files are data, not a regeneration target: a change that
-alters them changes the engine's results. They include the column
-snapshot that ``reconcile`` writes, which freezes its format; the chain
-is also run with that snapshot deleted after ``reconcile``.
+alters them changes the engine's results. They include the two column
+snapshots that ``reconcile`` writes, of the reconciled JSONL and of the
+raw publications file, which freeze their format; the chain is also run
+with both deleted after ``reconcile``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from fieldimpact.cli import dispatch
+from fieldimpact import cli
 from fieldimpact.corpus import snapshot_path
 from fieldimpact.synth import build_world_spec
 
@@ -41,6 +44,11 @@ SLICES = ("nation", "org", "discipline,year", "field,year", "org,field", "subuni
 RANK_METRICS = ("mean_cx", "top_decile_mean_cx")
 TREND_METRICS = "mean_cx,top_share_pct,mean_cjx,weight"
 SNAPSHOT = "publications.reconciled.jsonl.snapshot"
+
+
+def raw_snapshot(inputs: dict) -> str:
+    """The name of the raw publications file's snapshot that ``reconcile`` writes."""
+    return f"input-{hashlib.sha256(inputs['pubs'].read_bytes()).hexdigest()}.snapshot"
 
 
 def synth_inputs(tmp_path: Path) -> dict:
@@ -89,7 +97,7 @@ def corpus_args(inputs: dict, pubs: Path) -> list[str]:
 
 def run_chain(inputs: dict, out: Path, keep_snapshot: bool = True) -> None:
     """Run every frozen command, writing all outputs into ``out``; without
-    ``keep_snapshot``, later commands parse the reconciled JSONL."""
+    ``keep_snapshot``, later commands parse the raw and the reconciled JSONL."""
 
     def run(*argv: str) -> None:
         assert dispatch(list(argv)) == 0, argv
@@ -98,6 +106,7 @@ def run_chain(inputs: dict, out: Path, keep_snapshot: bool = True) -> None:
         "--rules", str(inputs["rules"]), "--out-dir", str(out))
     if not keep_snapshot:
         snapshot_path(out / "publications.reconciled.jsonl").unlink()
+        (out / raw_snapshot(inputs)).unlink()
     run("benchmark", *corpus_args(inputs, inputs["pubs"]), "--out-dir", str(out))
     reconciled = corpus_args(inputs, out / "publications.reconciled.jsonl")
     bm = inputs["benchmark_opts"]
@@ -125,14 +134,31 @@ def test_golden_outputs_byte_identical(case, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(INPUTS))
 def test_golden_outputs_without_snapshot_byte_identical(case, tmp_path):
-    """The snapshot is a cache: parsing the reconciled JSONL instead gives every other file unchanged."""
+    """The snapshots are caches: parsing both JSONL files instead gives every other file unchanged."""
     out = tmp_path / "out"
-    run_chain(INPUTS[case](tmp_path), out, keep_snapshot=False)
+    inputs = INPUTS[case](tmp_path)
+    run_chain(inputs, out, keep_snapshot=False)
     expected_dir = GOLDEN / case / "expected"
-    expected = sorted(p.name for p in expected_dir.iterdir() if p.name != SNAPSHOT)
+    expected = sorted(p.name for p in expected_dir.iterdir() if p.name not in (SNAPSHOT, raw_snapshot(inputs)))
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(INPUTS))
+def test_reconcile_again_loads_its_raw_snapshot(case, tmp_path, monkeypatch):
+    """A second ``reconcile`` into the same directory loads the raw file's
+    snapshot, does not rewrite it, and leaves every output file unchanged."""
+    inputs, out = INPUTS[case](tmp_path), tmp_path / "out"
+    argv = ["reconcile", *corpus_args(inputs, inputs["pubs"]), "--rules", str(inputs["rules"]), "--out-dir", str(out)]
+    assert dispatch(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert raw_snapshot(inputs) in first
+    written, original = [], cli.write_snapshot
+    monkeypatch.setattr(cli, "write_snapshot", lambda *args: written.append(args[1]) or original(*args))
+    assert dispatch(argv) == 0
+    assert written == [out / "publications.reconciled.jsonl"]  # only the reconciled JSONL's snapshot
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 def test_synth_world_byte_identical(tmp_path):

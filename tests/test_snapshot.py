@@ -1,6 +1,8 @@
-"""The column snapshot that `reconcile` writes next to its JSONL.
+"""The column snapshots that `reconcile` writes: one next to its JSONL, and
+one of the raw publications file in its output directory, named by that
+file's sha256.
 
-A command loads the snapshot only while its key matches the JSONL's bytes,
+A command loads a snapshot only while its key matches the JSONL's bytes,
 the format and the version, its seal matches its body, and the body holds
 what `write_snapshot` writes; in every other case it parses the JSONL, and
 its exit code, output and diagnostics are those of a run with no snapshot
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +23,9 @@ import pytest
 
 from fieldimpact import corpus as corpus_module
 from fieldimpact.cli import dispatch
-from fieldimpact.columns import CODED
-from fieldimpact.corpus import (_load_snapshot, _read_columns, _snapshot_columns, parse_corpus, snapshot_path,
-                                write_snapshot)
+from fieldimpact.columns import CODED, select
+from fieldimpact.corpus import (_in_select_order, _input_snapshot_path, _load_snapshot, _read_columns,
+                                _snapshot_columns, parse_corpus, snapshot_path, write_snapshot)
 
 from conftest import assert_columns_equal
 
@@ -31,15 +34,24 @@ FIXTURE = Path(__file__).parent / "golden" / "fixture" / "input"
 
 @pytest.fixture
 def files(tmp_path):
-    """The golden fixture's inputs, copied, and its reconciled JSONL with a snapshot."""
+    """The golden fixture's inputs, copied, its reconciled JSONL with a snapshot,
+    and the raw JSONL's snapshot in the output directory."""
     inputs = tmp_path / "input"
     shutil.copytree(FIXTURE, inputs)
     out = tmp_path / "out"
-    assert dispatch(["reconcile", *registries(inputs), "--pubs", str(inputs / "publications.jsonl"),
+    raw = inputs / "publications.jsonl"
+    assert dispatch(["reconcile", *registries(inputs), "--pubs", str(raw),
                      "--rules", str(inputs / "rules.tsv"), "--out-dir", str(out)]) == 0
     pubs = out / "publications.reconciled.jsonl"
     assert _load_snapshot(pubs) is not None
-    return {"inputs": inputs, "pubs": pubs, "snapshot": snapshot_path(pubs), "tmp": tmp_path}
+    raw_snapshot = _input_snapshot_path(out, sha256(raw))
+    assert _load_snapshot(raw, raw_snapshot) is not None
+    return {"inputs": inputs, "pubs": pubs, "snapshot": snapshot_path(pubs), "tmp": tmp_path, "raw": raw,
+            "raw_snapshot": raw_snapshot}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def registries(inputs: Path) -> list[str]:
@@ -275,3 +287,170 @@ def test_reconcile_reads_and_overwrites_its_own_output(files, capsys):
                                                                     "publications.reconciled.jsonl").read_bytes()
     assert _load_snapshot(files["pubs"]) is not None
     assert outcome(files, capsys) == without_snapshot(files, capsys)
+
+
+# Each corpus command's options besides the corpus files and --out-dir.
+RAW_COMMANDS = {
+    "validate": [],
+    "reconcile": ["--rules", "rules.tsv"],
+    "benchmark": [],
+    "indicators": ["--slice", "org", "--rules", "rules.tsv"],
+    "rank": ["--rules", "rules.tsv", "--min-weight", "0", "--out", "-"],
+    "trend": ["--slice", "discipline"],
+}
+
+
+def raw_argv(files, command: str) -> list[str]:
+    """`command` on the raw JSONL, without --out-dir."""
+    extra = [str(files["inputs"] / a) if a.endswith(".tsv") else a for a in RAW_COMMANDS[command]]
+    return [command, *registries(files["inputs"]), "--pubs", str(files["raw"]), *extra]
+
+
+def raw_outcome(files, capsys, command: str, cached: bytes | None = None) -> tuple:
+    """Exit code, stdout, stderr and output files of `command` on the raw
+    JSONL, into an output directory that holds `cached` under the raw
+    JSONL's snapshot name, or nothing. The raw snapshot is left out of the
+    files: only `reconcile` writes it."""
+    results = files["tmp"] / "raw-results"
+    shutil.rmtree(results, ignore_errors=True)
+    results.mkdir()
+    if cached is not None:
+        _input_snapshot_path(results, sha256(files["raw"])).write_bytes(cached)
+    capsys.readouterr()
+    code = dispatch([*raw_argv(files, command), "--out-dir", str(results)])
+    captured = capsys.readouterr()
+    written = {p.name: p.read_bytes() for p in sorted(results.iterdir()) if not p.name.startswith("input-")}
+    return code, captured.out, captured.err.replace(str(results), "<results>"), written
+
+
+def sorted_columns(pubs: Path):
+    """`_read_columns` plus the sort by id that ingest applies."""
+    cols = _read_columns(pubs)[0]
+    return select(cols, np.array(sorted(range(len(cols.ids)), key=cols.ids.__getitem__), np.intp))
+
+
+@pytest.mark.parametrize("command", sorted(RAW_COMMANDS))
+def test_raw_snapshot_hit_gives_the_parsed_outcome(files, capsys, monkeypatch, command):
+    """Every corpus command loads the raw JSONL's columns from its output
+    directory, without decoding the JSON, and gives what it gives with no
+    snapshot there."""
+    assert_columns_equal(_load_snapshot(files["raw"], files["raw_snapshot"])[0], sorted_columns(files["raw"]))
+    parsed = raw_outcome(files, capsys, command)
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_read_columns", lambda source: pytest.fail("decoded the JSON"))
+        cached = raw_outcome(files, capsys, command, files["raw_snapshot"].read_bytes())
+    assert cached[0] == 0 and cached == parsed
+
+
+@pytest.mark.parametrize("command", sorted(RAW_COMMANDS))
+@pytest.mark.parametrize("cached", [True, False], ids=["hit", "miss"])
+def test_each_command_hashes_its_input_once(files, capsys, monkeypatch, command, cached):
+    hashed, original = [], corpus_module._digest
+    monkeypatch.setattr(corpus_module, "_digest", lambda path: hashed.append(Path(path)) or original(path))
+    assert raw_outcome(files, capsys, command, files["raw_snapshot"].read_bytes() if cached else None)[0] == 0
+    assert hashed.count(files["raw"]) == 1
+
+
+def test_library_parse_without_a_directory_does_not_hash(files, monkeypatch):
+    inputs = files["inputs"]
+    monkeypatch.setattr(corpus_module, "_digest", lambda path: pytest.fail("hashed the JSONL"))
+    corpus = parse_corpus(files["raw"], inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
+    assert_columns_equal(corpus.columns, sorted_columns(files["raw"]))
+
+
+def raw_miss(files, miss: str) -> bytes:
+    """The raw snapshot's bytes with one fault; an edited JSONL is edited in place."""
+    data = files["raw_snapshot"].read_bytes()
+    if miss == "edited JSONL":  # the first citation count's first digit, to another digit
+        text = bytearray(files["raw"].read_bytes())
+        at = text.index(b'"citations": ') + len(b'"citations": ')
+        text[at] = ord("7") if text[at] != ord("7") else ord("8")
+        files["raw"].write_bytes(bytes(text))
+        return data  # stored under the edited file's name, so only its key is wrong
+    if miss == "truncated body":
+        return sealed(data[:len(data) - 8])
+    if miss == "flipped citation bit":
+        return data[:-8] + bytes([data[-8] ^ 1]) + data[-7:]
+    if miss == "other version":
+        return data.replace(f" {corpus_module.__version__} ".encode(), b" 0.0.0+other ", 1)
+    return b"\x00\xff not a snapshot \n" * 50
+
+
+@pytest.mark.parametrize("command", sorted(RAW_COMMANDS))
+@pytest.mark.parametrize("miss", ["edited JSONL", "truncated body", "flipped citation bit", "other version",
+                                  "garbage"])
+def test_raw_snapshot_miss_parses(files, capsys, command, miss):
+    cached = raw_miss(files, miss)
+    target = files["tmp"] / "probe.snapshot"
+    target.write_bytes(cached)
+    assert _load_snapshot(files["raw"], target) is None
+    assert raw_outcome(files, capsys, command, cached) == raw_outcome(files, capsys, command)
+
+
+def test_two_inputs_in_one_output_directory_both_hit(files, monkeypatch):
+    """A second raw file reconciled into the same directory gets its own
+    snapshot; the first one's still loads."""
+    inputs, out = files["inputs"], files["pubs"].parent
+    other = files["tmp"] / "other.jsonl"
+    other.write_bytes(b"".join(files["raw"].read_bytes().splitlines(keepends=True)[1:]))
+    assert dispatch(["reconcile", *registries(inputs), "--pubs", str(other), "--rules", str(inputs / "rules.tsv"),
+                     "--out-dir", str(out)]) == 0
+    snapshots = sorted(p.name for p in out.glob("input-*.snapshot"))
+    assert snapshots == sorted(f"input-{sha256(p)}.snapshot" for p in (files["raw"], other))
+    registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
+    parsed = {p: parse_corpus(p, *registry_files).columns for p in (files["raw"], other)}
+    monkeypatch.setattr(corpus_module, "_read_columns", lambda source: pytest.fail("decoded the JSON"))
+    for pubs, expected in parsed.items():
+        assert_columns_equal(parse_corpus(pubs, *registry_files, snapshot_dir=out).columns, expected)
+    assert len(parsed[other].ids) == len(parsed[files["raw"]].ids) - 1
+
+
+@pytest.mark.parametrize("fault, diagnostic", [("an invalid line", "publications line 2: malformed JSON"),
+                                               ("a dangling journal", "dangling journal reference(s): NO_SUCH_")])
+def test_raw_jsonl_with_diagnostics_leaves_no_snapshot(files, capsys, fault, diagnostic):
+    inputs, results = files["inputs"], files["tmp"] / "failed"
+    lines = files["raw"].read_bytes().splitlines(keepends=True)
+    if fault == "an invalid line":
+        lines[1] = b"[" + lines[1][1:]
+    else:
+        lines[1] = lines[1].replace(b'"journal": "', b'"journal": "NO_SUCH_', 1)
+    files["raw"].write_bytes(b"".join(lines))
+    results.mkdir()
+    capsys.readouterr()
+    assert dispatch(["reconcile", *registries(inputs), "--pubs", str(files["raw"]),
+                     "--rules", str(inputs / "rules.tsv"), "--out-dir", str(results)]) == 1
+    assert diagnostic in capsys.readouterr().err
+    assert not any(results.iterdir())
+
+
+def test_lookup_does_not_create_the_output_directory(files, capsys, monkeypatch):
+    missing = files["tmp"] / "missing" / "deeper"
+    monkeypatch.setenv("FIELDIMPACT_OUT_DIR", str(missing))
+    for command in ("validate", "rank"):
+        assert dispatch(raw_argv(files, command)) == 0
+    assert not missing.parent.exists()
+
+
+def reordered(cols, order: str):
+    """`cols` with their rows reversed, or one code column numbered in
+    reverse, or one value that no row uses appended: still the same records."""
+    if order == "ids out of order":
+        return select(cols, np.arange(len(cols.ids) - 1, -1, -1, dtype=np.intp))
+    if order == "codes out of first-appearance order":
+        return cols._replace(journal=np.int32(len(cols.journals) - 1) - cols.journal, journals=cols.journals[::-1])
+    return cols._replace(years=cols.years + (1999,))
+
+
+@pytest.mark.parametrize("order", ["ids out of order", "codes out of first-appearance order", "an unused value"])
+def test_snapshot_not_in_select_order_is_sorted(files, order):
+    """A sealed snapshot that `write_snapshot` did not write from a parsed
+    corpus loads the corpus that parsing the JSONL gives."""
+    inputs = files["inputs"]
+    registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
+    corpus = parse_corpus(files["pubs"], *registry_files)
+    assert _in_select_order(_load_snapshot(files["pubs"])[0])
+    write_snapshot(replace(corpus, columns=reordered(corpus.columns, order)), files["pubs"])
+    assert not _in_select_order(_load_snapshot(files["pubs"])[0])
+    loaded = parse_corpus(files["pubs"], *registry_files).columns
+    files["snapshot"].unlink()
+    assert_columns_equal(loaded, parse_corpus(files["pubs"], *registry_files).columns)
