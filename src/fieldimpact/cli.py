@@ -37,6 +37,7 @@ from .corpus import (
     CorpusError,
     CorpusValidationError,
     _ingest,
+    _write_input_snapshot,
     parse_corpus,
     write_publications_jsonl,
     write_snapshot,
@@ -326,11 +327,11 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reconcile(ns: argparse.Namespace) -> int:
-    corpus, digest = _ingest(ns.pubs, ns.journals, ns.orgs, ns.fields, _out_path(ns))
+    corpus, digest = _ingest(ns.pubs, ns.journals, ns.orgs, ns.fields, _out_path(ns), store=True)
     result = _apply_rules(corpus, ns.rules)
     out = _out_dir(ns)
-    if digest:  # parsed from the JSON: store the columns for the next command that reads this file
-        write_snapshot(corpus, ns.pubs, out, digest)
+    if digest:  # parsed from the JSON: store the columns for the next command that reads these bytes
+        _write_input_snapshot(corpus, out, digest)
     del corpus
     reconciled_path = out / "publications.reconciled.jsonl"
     write_publications_jsonl(result.corpus, reconciled_path)

@@ -9,19 +9,21 @@ benchmarks, indicators) can share freely across threads. The columns
 are the corpus's only stored form of its records; `Corpus.records`
 builds `PublicationRecord` views from them on demand.
 
-`write_snapshot` stores the columns that parsing a JSONL gives in a file
-keyed by the JSONL's sha256 and sealed by the sha256 of its own body:
-next to the JSONL, or in a directory under the name
-`input-<sha256>.snapshot`. `parse_corpus` loads them instead of decoding
-the JSON while the key and the seal match, and parses as usual on any
-mismatch. A snapshot already in id order, with its codes numbered as
-`columns.select` numbers them, is kept as loaded; any other is sorted.
+`write_snapshot` stores the columns that parsing a JSONL gives next to
+it, keyed by the JSONL's sha256 and sealed by the sha256 of its own body;
+`reconcile` stores those of its raw input the same way in its output
+directory, as `input-<sha256>.snapshot`. `parse_corpus` loads them
+instead of decoding the JSON while the key and the seal match, and parses
+as usual on any mismatch. A snapshot already in id order, with its codes
+numbered as `columns.select` numbers them, is kept as loaded; any other
+is sorted.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import operator
@@ -435,15 +437,39 @@ def _parse_attributions(raw: object, diagnostics: list[str]) -> tuple[Attributio
 PathOrIO = str | Path | IO[str]
 
 
+class _HashingReader(io.RawIOBase):
+    """A file's bytes, read unbuffered, each also fed to `sha`."""
+
+    def __init__(self, path: str | Path, sha: hashlib._Hash):
+        super().__init__()
+        self._file, self._sha = open(path, "rb", buffering=0), sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self._sha.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
 @contextmanager
-def _open_text(source: PathOrIO):
+def _open_text(source: PathOrIO, sha: hashlib._Hash | None = None):
     """Yield a text stream for a path or an already-open file object.
 
-    A path is opened as UTF-8 and closed on exit; a stream stays open.
-    Bytes that do not decode end as a CorpusError naming the source.
+    A path is opened as UTF-8 and closed on exit, and with `sha` every byte
+    read from it also updates `sha`; a stream stays open. Bytes that do not
+    decode end as a CorpusError naming the source.
     """
     if isinstance(source, (str, Path)):
-        stream = open(source, "r", encoding="utf-8", newline="")
+        if sha is None:
+            stream = open(source, "r", encoding="utf-8", newline="")
+        else:
+            stream = io.TextIOWrapper(io.BufferedReader(_HashingReader(source, sha), 1 << 16), "utf-8", newline="")
     elif hasattr(source, "read"):
         stream = nullcontext(source)
     else:
@@ -605,10 +631,11 @@ def _valid_fields(fields: tuple) -> bool:
     return bool(fields) and all(type(f) is str and f for f in fields) and len(set(fields)) == len(fields)
 
 
-def _read_columns(source: PathOrIO) -> tuple[RecordColumns, list[str]]:
+def _read_columns(source: PathOrIO, sha: hashlib._Hash | None = None) -> tuple[RecordColumns, list[str]]:
     """Decode publications JSONL into columns in file order, plus the full
     diagnostic list; the distinct-value tuples may hold values that no
-    kept record uses (`columns.select` drops them).
+    kept record uses (`columns.select` drops them). With `sha`, every byte
+    decoded from a path also updates it.
 
     A line takes the fast path when id, year, doc type, journal and
     citations have their JSON types and ranges and fields and addresses
@@ -632,7 +659,7 @@ def _read_columns(source: PathOrIO) -> tuple[RecordColumns, list[str]]:
     # The scanner of `json.loads`; a line that is more than one JSON value
     # and "\n" goes through `json.loads` itself.
     scan = json.JSONDecoder().scan_once
-    with _open_text(source) as fh:
+    with _open_text(source, sha) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 raw, end = scan(line, 0)
@@ -729,16 +756,20 @@ def _ingest(
     orgs: PathOrIO,
     field_scheme: PathOrIO,
     snapshot_dir: str | Path | None,
+    store: bool = False,
 ) -> tuple[Corpus, str | None]:
-    """`parse_corpus`, and the sha256 of the publications file when it was
-    hashed for a `snapshot_dir` lookup that missed, else None: the name
-    under which `reconcile` stores the parsed columns in that directory."""
+    """`parse_corpus`, and, with `store`, the sha256 of the bytes that the
+    JSON parse of a publications path decoded, else None: the digest under
+    which `reconcile` stores the parsed columns (`_write_input_snapshot`).
+    It is taken from the decoded bytes, not from the lookup's read, so a
+    file that changes in between is stored under its new bytes."""
     journal_registry = load_journals(journals)
     org_registry = load_organizations(orgs)
     scheme = load_field_scheme(field_scheme)
-    loaded, digest = _find_snapshot(publications, snapshot_dir)
-    cols, diagnostics = loaded or _read_columns(publications)
-    if loaded and _in_select_order(cols):
+    loaded = _find_snapshot(publications, snapshot_dir)
+    sha = hashlib.sha256() if store and not loaded and isinstance(publications, (str, Path)) else None
+    cols, diagnostics = (loaded[0], []) if loaded else _read_columns(publications, sha)
+    if loaded and _in_select_order(*loaded):
         # What `select` would give, without the sort and the renumbering. The ids
         # and arrays are copied: the loaded ones were allocated among the loader's
         # temporaries, and kept, they hold that freed memory resident (3 MB more
@@ -765,14 +796,15 @@ def _ingest(
         raise CorpusValidationError(diagnostics)
 
     corpus = Corpus(columns=cols, journals=journal_registry, organizations=org_registry, field_scheme=scheme)
-    return corpus, None if loaded else digest
+    return corpus, sha and sha.hexdigest()
 
 
-def _in_select_order(cols: RecordColumns) -> bool:
+def _in_select_order(cols: RecordColumns, increasing: bool) -> bool:
     """Whether sorting `cols` by id would give them back unchanged: the ids
-    strictly increase, and each code column numbers its values in order of
-    first appearance with every value used, as `columns.select` numbers them."""
-    if not all(map(operator.lt, cols.ids, islice(cols.ids, 1, None))):
+    strictly increase (`increasing`, as `_load_snapshot` found), and each
+    code column numbers its values in order of first appearance with every
+    value used, as `columns.select` numbers them."""
+    if not increasing:
         return False
     for code, values in CODED:
         codes, n_values = getattr(cols, code), len(getattr(cols, values))
@@ -873,13 +905,23 @@ def _sha256(fh: IO[bytes]) -> str:
     return digest.hexdigest()
 
 
-def write_snapshot(corpus: Corpus, publications: str | Path, snapshot_dir: str | Path | None = None,
-                   digest: str | None = None) -> Path:
-    """Store `corpus`'s columns next to `publications` (`snapshot_path`), or
-    in `snapshot_dir` under the name that `parse_corpus(...,
-    snapshot_dir=...)` looks for, and return the snapshot's path. Parsing
-    `publications` gives `corpus`; `digest`, if given, is the sha256 of its
-    bytes, which the key holds.
+def write_snapshot(corpus: Corpus, publications: str | Path) -> Path:
+    """Store `corpus`'s columns next to `publications`, and return the
+    snapshot's path (`snapshot_path`). Parsing `publications` gives `corpus`."""
+    path = snapshot_path(publications)
+    _write_snapshot(corpus, path, _digest(publications))
+    return path
+
+
+def _write_input_snapshot(corpus: Corpus, directory: str | Path, digest: str) -> None:
+    """Store `corpus`'s columns in `directory` under the name that
+    `parse_corpus(..., snapshot_dir=directory)` looks for: parsing bytes
+    whose sha256 is `digest` gave `corpus`."""
+    _write_snapshot(corpus, _input_snapshot_path(directory, digest), digest)
+
+
+def _write_snapshot(corpus: Corpus, path: Path, digest: str) -> None:
+    """Write the snapshot of `corpus` to `path`, keyed by `digest`.
 
     After the key line, whose seal is the sha256 of every later byte, a JSON
     line holds the lengths of the ids and of the six distinct-value tuples,
@@ -890,8 +932,6 @@ def write_snapshot(corpus: Corpus, publications: str | Path, snapshot_dir: str |
     cols = corpus.columns
     tuples = (cols.ids, cols.years, cols.journals, [dt.value for dt in cols.doc_types], cols.field_tuples,
               cols.address_lists, [_attribution_items(t) for t in cols.attribution_tuples])
-    digest = digest or _digest(publications)
-    path = snapshot_path(publications) if snapshot_dir is None else _input_snapshot_path(snapshot_dir, digest)
     key = _snapshot_key(digest)
     with open(path, "w+b") as fh:
         fh.write(key + b"0" * _SEAL + b"\n")  # the seal's place, filled in once the body is written
@@ -905,29 +945,27 @@ def write_snapshot(corpus: Corpus, publications: str | Path, snapshot_dir: str |
         seal = _sha256(fh)
         fh.seek(len(key))
         fh.write(seal.encode())
-    return path
 
 
-def _find_snapshot(publications: PathOrIO, snapshot_dir: str | Path | None
-                   ) -> tuple[tuple[RecordColumns, list[str]] | None, str | None]:
+def _find_snapshot(publications: PathOrIO, snapshot_dir: str | Path | None) -> tuple[RecordColumns, bool] | None:
     """`_load_snapshot` of the snapshot next to `publications`, else of its
-    snapshot in `snapshot_dir`, and the file's sha256 if it was hashed. With
-    no `snapshot_dir` the file is hashed only if the sibling opens."""
+    snapshot in `snapshot_dir`. With a `snapshot_dir` the file is hashed
+    once, for both keys; without one, only if the sibling opens."""
     if snapshot_dir is None or not isinstance(publications, (str, Path)):
-        return _load_snapshot(publications), None
+        return _load_snapshot(publications)
     digest = _digest(publications)
     loaded = _load_snapshot(publications, digest=digest)
-    return loaded or _load_snapshot(publications, _input_snapshot_path(snapshot_dir, digest), digest), digest
+    return loaded or _load_snapshot(publications, _input_snapshot_path(snapshot_dir, digest), digest)
 
 
 def _load_snapshot(publications: PathOrIO, target: str | Path | None = None,
-                   digest: str | None = None) -> tuple[RecordColumns, list[str]] | None:
+                   digest: str | None = None) -> tuple[RecordColumns, bool] | None:
     """The columns stored at `target`, by default next to `publications`, as
-    written and with no diagnostics; None (parse the JSONL) when there is no
-    such file, its key does not match `digest` (by default the JSONL is
-    hashed once the file opens), its seal does not match its body, or its
-    body is not what `write_snapshot` writes. The body is hashed in chunks
-    before any of it is decoded."""
+    written, and whether their ids strictly increase; None (parse the
+    JSONL) when there is no such file, its key does not match `digest` (by
+    default the JSONL is hashed once the file opens), its seal does not
+    match its body, or its body is not what `write_snapshot` writes. The
+    body is hashed in chunks before any of it is decoded."""
     if not isinstance(publications, (str, Path)):
         return None
     try:
@@ -937,13 +975,14 @@ def _load_snapshot(publications: PathOrIO, target: str | Path | None = None,
             if line != key + _sha256(fh).encode() + b"\n":
                 return None
             fh.seek(len(line))
-            return _snapshot_columns(fh), []
+            return _snapshot_columns(fh)
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
 
 
-def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
-    """Decode the rest of a snapshot after its key line. Raises ValueError,
+def _snapshot_columns(fh: IO[bytes]) -> tuple[RecordColumns, bool]:
+    """Decode the rest of a snapshot after its key line, and tell whether
+    its ids strictly increase, as `write_snapshot` writes them. Raises ValueError,
     TypeError or KeyError for bad JSON, a value of the wrong type, an empty
     or repeated id, an empty journal id, a count its lines do not hold,
     arrays whose length is not the id count, or a code outside its values."""
@@ -965,11 +1004,13 @@ def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
     field_tuples, address_lists = tuple(map(tuple, field_tuples)), tuple(map(tuple, address_lists))
     rejected: list[str] = []
     attribution_tuples = tuple(_parse_attributions(t, rejected) for t in attributions)
-    # Ids that strictly increase, as `write_snapshot` writes them, are distinct without a set.
-    if rejected or not (all(type(i) is str and i for i in ids) and all(type(y) is int for y in years)
+    valid_ids = all(type(i) is str and i for i in ids)
+    # Ids that strictly increase are distinct without a set.
+    increasing = valid_ids and all(map(operator.lt, ids, islice(ids, 1, None)))
+    if rejected or not (valid_ids and all(type(y) is int for y in years)
                         and all(type(j) is str and j for j in journals) and all(map(_valid_fields, field_tuples))
                         and all(type(a) is str for t in address_lists for a in t)
-                        and (all(map(operator.lt, ids, islice(ids, 1, None))) or len(set(ids)) == len(ids))):
+                        and (increasing or len(set(ids)) == len(ids))):
         raise ValueError("snapshot value of the wrong type, empty or repeated")
     n, arrays = len(ids), {}
     for name, dtype in _SNAPSHOT_ARRAYS:
@@ -989,4 +1030,4 @@ def _snapshot_columns(fh: IO[bytes]) -> RecordColumns:
             raise ValueError(f"snapshot {code} code out of range")
     if n and not 0 <= cols.citations.min() <= cols.citations.max() < _COUNT_BOUND:
         raise ValueError("snapshot citation count out of range")
-    return cols
+    return cols, increasing

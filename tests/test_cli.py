@@ -9,6 +9,10 @@ from fieldimpact.synth import build_world_spec
 
 from conftest import args_corpus
 
+# Every name through which a command reads a corpus: `reconcile` ingests through
+# `_ingest`, which also returns the digest it stores the raw snapshot under.
+INGEST = ("parse_corpus", "_ingest")
+
 
 class TestValidate:
     def test_valid_fixture(self, tiny_corpus_files, capsys):
@@ -298,7 +302,7 @@ class TestBadInputDiagnostics:
         def no_input(*args, **kwargs):
             raise AssertionError("input read")
 
-        for name in ("parse_corpus", "compile_rules", "load_spec", "distortion_demo"):
+        for name in (*INGEST, "compile_rules", "load_spec", "distortion_demo"):
             monkeypatch.setattr(cli, name, no_input)
         out = tiny_corpus_files["dir"] / "out"
         command = argv[0]
@@ -349,7 +353,8 @@ class TestBadInputDiagnostics:
         def no_input(*args, **kwargs):
             raise AssertionError("input read")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        for name in INGEST:
+            monkeypatch.setattr(cli, name, no_input)
         path = self.write(tiny_corpus_files, "run.json", json.dumps({"min_wieght": 5, "zz": 1, "limit": 3}))
         code, err = self.run(
             ["rank", *args_corpus(tiny_corpus_files), "--config", str(path), "--out", "-"], capsys
@@ -409,7 +414,8 @@ class TestBadInputDiagnostics:
         def no_ingest(*args, **kwargs):
             raise AssertionError("ingest ran")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_ingest)
+        for name in INGEST:
+            monkeypatch.setattr(cli, name, no_ingest)
         code, err = self.run(
             ["rank", *args_corpus(tiny_corpus_files), "--rules", str(tiny_corpus_files["rules"]),
              *option, "--out", "-"],
@@ -433,7 +439,8 @@ class TestBadInputDiagnostics:
         def no_ingest(*args, **kwargs):
             raise AssertionError("ingest ran")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_ingest)
+        for name in INGEST:
+            monkeypatch.setattr(cli, name, no_ingest)
         missing = str(tiny_corpus_files["dir"] / "nonexistent")
         out = tiny_corpus_files["dir"] / "out"
         argv = [arg.format(missing=missing) for arg in argv]
@@ -454,7 +461,8 @@ class TestBadInputDiagnostics:
         def no_input(*args, **kwargs):
             raise AssertionError("input read")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        for name in INGEST:
+            monkeypatch.setattr(cli, name, no_input)
         monkeypatch.setattr(cli, "distortion_demo", no_input)
         bad = self.BAD_VALUES[option.dest]
         command = next(name for name, c in cli._COMMANDS.items() if option.dest in c.required + c.optional)
@@ -470,7 +478,8 @@ class TestBadInputDiagnostics:
         def no_ingest(*args, **kwargs):
             raise AssertionError("ingest ran")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_ingest)
+        for name in INGEST:
+            monkeypatch.setattr(cli, name, no_ingest)
         out = tiny_corpus_files["dir"] / "out"
         code, err = self.run(
             ["trend", *args_corpus(tiny_corpus_files), "--metrics", metrics, "--out-dir", str(out)],
@@ -500,7 +509,8 @@ class TestBadInputDiagnostics:
         def no_input(*args, **kwargs):
             raise AssertionError("input read")
 
-        monkeypatch.setattr(cli, "parse_corpus", no_input)
+        for name in INGEST:
+            monkeypatch.setattr(cli, name, no_input)
         monkeypatch.setattr(cli, "distortion_demo", no_input)
         path = self.write(tiny_corpus_files, "run.json", json.dumps(config))
         files = args_corpus(tiny_corpus_files, "--rules", str(tiny_corpus_files["rules"]))

@@ -33,8 +33,8 @@ from pathlib import Path
 
 import pytest
 
+from fieldimpact import corpus as corpus_module
 from fieldimpact.cli import dispatch
-from fieldimpact import cli
 from fieldimpact.corpus import snapshot_path
 from fieldimpact.synth import build_world_spec
 
@@ -154,10 +154,10 @@ def test_reconcile_again_loads_its_raw_snapshot(case, tmp_path, monkeypatch):
     assert dispatch(argv) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert raw_snapshot(inputs) in first
-    written, original = [], cli.write_snapshot
-    monkeypatch.setattr(cli, "write_snapshot", lambda *args: written.append(args[1]) or original(*args))
+    written, original = [], corpus_module._write_snapshot
+    monkeypatch.setattr(corpus_module, "_write_snapshot", lambda *args: written.append(args[1]) or original(*args))
     assert dispatch(argv) == 0
-    assert written == [out / "publications.reconciled.jsonl"]  # only the reconciled JSONL's snapshot
+    assert written == [out / SNAPSHOT]  # only the reconciled JSONL's snapshot
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 

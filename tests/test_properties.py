@@ -655,12 +655,12 @@ def assert_snapshot_loads_parsed_columns(corpus, journals=JOURNALS):
         path = Path(tmp) / "publications.jsonl"
         write_publications_jsonl(corpus, path)
         write_snapshot(corpus, path)
-        loaded, diagnostics = _load_snapshot(path)
+        loaded, increasing = _load_snapshot(path)
         from_snapshot = parse(path).columns
         snapshot_path(path).unlink()
         assert _load_snapshot(path) is None
         parsed = parse(path).columns
-    assert diagnostics == []
+    assert increasing
     assert_columns_equal(loaded, parsed)
     assert_columns_equal(from_snapshot, parsed)
     assert all(type(a.weight) is Fraction for t in loaded.attribution_tuples for a in t)

@@ -1,6 +1,6 @@
 """The column snapshots that `reconcile` writes: one next to its JSONL, and
-one of the raw publications file in its output directory, named by that
-file's sha256.
+one of the raw publications file in its output directory, named by the
+sha256 of the bytes it parsed.
 
 A command loads a snapshot only while its key matches the JSONL's bytes,
 the format and the version, its seal matches its body, and the body holds
@@ -337,18 +337,23 @@ def test_raw_snapshot_hit_gives_the_parsed_outcome(files, capsys, monkeypatch, c
     assert_columns_equal(_load_snapshot(files["raw"], files["raw_snapshot"])[0], sorted_columns(files["raw"]))
     parsed = raw_outcome(files, capsys, command)
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_read_columns", lambda source: pytest.fail("decoded the JSON"))
+        patch.setattr(corpus_module, "_read_columns", lambda *args: pytest.fail("decoded the JSON"))
         cached = raw_outcome(files, capsys, command, files["raw_snapshot"].read_bytes())
     assert cached[0] == 0 and cached == parsed
 
 
 @pytest.mark.parametrize("command", sorted(RAW_COMMANDS))
 @pytest.mark.parametrize("cached", [True, False], ids=["hit", "miss"])
-def test_each_command_hashes_its_input_once(files, capsys, monkeypatch, command, cached):
+def test_each_command_reads_its_input_once_to_hash_it(files, capsys, monkeypatch, command, cached):
+    """One digest names and keys both lookups. Only `reconcile`'s JSON parse
+    after a miss also hashes the bytes it decodes, which name what it stores."""
     hashed, original = [], corpus_module._digest
     monkeypatch.setattr(corpus_module, "_digest", lambda path: hashed.append(Path(path)) or original(path))
+    decoded, reader = [], corpus_module._HashingReader
+    monkeypatch.setattr(corpus_module, "_HashingReader", lambda path, sha: decoded.append(path) or reader(path, sha))
     assert raw_outcome(files, capsys, command, files["raw_snapshot"].read_bytes() if cached else None)[0] == 0
     assert hashed.count(files["raw"]) == 1
+    assert decoded == ([files["raw"]] if command == "reconcile" and not cached else [])
 
 
 def test_library_parse_without_a_directory_does_not_hash(files, monkeypatch):
@@ -399,10 +404,41 @@ def test_two_inputs_in_one_output_directory_both_hit(files, monkeypatch):
     assert snapshots == sorted(f"input-{sha256(p)}.snapshot" for p in (files["raw"], other))
     registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
     parsed = {p: parse_corpus(p, *registry_files).columns for p in (files["raw"], other)}
-    monkeypatch.setattr(corpus_module, "_read_columns", lambda source: pytest.fail("decoded the JSON"))
+    monkeypatch.setattr(corpus_module, "_read_columns", lambda *args: pytest.fail("decoded the JSON"))
     for pubs, expected in parsed.items():
         assert_columns_equal(parse_corpus(pubs, *registry_files, snapshot_dir=out).columns, expected)
     assert len(parsed[other].ids) == len(parsed[files["raw"]].ids) - 1
+
+
+def test_raw_file_changed_after_lookup_is_stored_under_the_parsed_bytes(files, monkeypatch):
+    """A raw file that changes between the lookup's hash and the parse is
+    stored under the sha256 of the bytes parsed, so its old bytes still miss."""
+    inputs, out = files["inputs"], files["tmp"] / "changed"
+    registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
+    old = files["raw"].read_bytes()
+    new = b"".join(old.splitlines(keepends=True)[1:])
+    find = corpus_module._find_snapshot
+
+    def find_then_edit(publications, snapshot_dir):
+        found = find(publications, snapshot_dir)
+        files["raw"].write_bytes(new)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_find_snapshot", find_then_edit)
+        assert dispatch(["reconcile", *registries(inputs), "--pubs", str(files["raw"]),
+                         "--rules", str(inputs / "rules.tsv"), "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.glob("input-*.snapshot")] == [f"input-{sha256(files['raw'])}.snapshot"]
+    expected = {}
+    for data in (new, old):
+        files["raw"].write_bytes(data)
+        expected[data] = parse_corpus(files["raw"], *registry_files).columns
+    decoded, read = [], corpus_module._read_columns
+    monkeypatch.setattr(corpus_module, "_read_columns", lambda *args: decoded.append(args[0]) or read(*args))
+    for data in (new, old):
+        files["raw"].write_bytes(data)
+        assert_columns_equal(parse_corpus(files["raw"], *registry_files, snapshot_dir=out).columns, expected[data])
+    assert decoded == [files["raw"]]  # the old bytes only
 
 
 @pytest.mark.parametrize("fault, diagnostic", [("an invalid line", "publications line 2: malformed JSON"),
@@ -448,9 +484,9 @@ def test_snapshot_not_in_select_order_is_sorted(files, order):
     inputs = files["inputs"]
     registry_files = (inputs / "journals.csv", inputs / "orgs.csv", inputs / "fields.csv")
     corpus = parse_corpus(files["pubs"], *registry_files)
-    assert _in_select_order(_load_snapshot(files["pubs"])[0])
+    assert _in_select_order(*_load_snapshot(files["pubs"]))
     write_snapshot(replace(corpus, columns=reordered(corpus.columns, order)), files["pubs"])
-    assert not _in_select_order(_load_snapshot(files["pubs"])[0])
+    assert not _in_select_order(*_load_snapshot(files["pubs"]))
     loaded = parse_corpus(files["pubs"], *registry_files).columns
     files["snapshot"].unlink()
     assert_columns_equal(loaded, parse_corpus(files["pubs"], *registry_files).columns)
