@@ -16,7 +16,6 @@ from .corpus import (  # noqa: F401
     census_citations,
     doc_type_shares,
     parse_corpus,
-    validate_record,
 )
 from .reconcile import (  # noqa: F401
     RuleSet,

@@ -2,9 +2,10 @@
 
 A corpus bundles publication records with the journal, organization and
 field registries they reference. Ingest decodes each publication line
-straight into integer-coded columns (`columns.RecordColumns`), validates
-every cross reference once per distinct value, sorts the records by id,
-and yields an immutable object that downstream stages (reconciliation,
+straight into integer-coded columns (`columns.RecordColumns`), checks
+each distinct value of a key and every cross reference once (the line
+checks are one table, `_LINE_CHECKS`), sorts the records by id, and
+yields an immutable object that downstream stages (reconciliation,
 benchmarks, indicators) can share freely across threads. The columns
 are the corpus's only stored form of its records; `Corpus.records`
 builds `PublicationRecord` views from them on demand.
@@ -13,15 +14,16 @@ builds `PublicationRecord` views from them on demand.
 it, keyed by the JSONL's sha256 and sealed by the sha256 of its own body;
 `reconcile` stores those of its raw input the same way in its output
 directory, as `input-<sha256>.snapshot`. `parse_corpus` loads them
-instead of decoding the JSON while the key and the seal match, and parses
-as usual on any mismatch. A snapshot already in id order, with its codes
-numbered as `columns.select` numbers them, is kept as loaded; any other
-is sorted.
+instead of decoding the JSON while the key and the seal match and every
+stored value passes the same checks, and parses as usual on any
+mismatch. A snapshot already in id order, with its codes numbered as
+`columns.select` numbers them, is kept as loaded; any other is sorted.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -307,131 +309,88 @@ _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 _DOC_TYPES = {dt.value: dt for dt in DocType}
+# An attribution weight from its text, as an exact rational: a corpus repeats
+# few weights, which an attribution check and its stored form both parse.
+_weight = functools.lru_cache(maxsize=1024)(Fraction)
 
 
-def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None, list[str]]:
-    """Validate one parsed record; return (record, diagnostics).
-
-    The diagnostic list is complete (every violated constraint), and the
-    record is None whenever any diagnostic is present.
-    """
-    diagnostics: list[str] = []
-
-    rec_id = raw.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
-        diagnostics.append("id must be a non-empty string")
-
-    year = raw.get("year")
-    if isinstance(year, bool) or not isinstance(year, int):
-        diagnostics.append("year must be an integer")
-
-    doc_type_raw = raw.get("doc_type")
-    doc_type = _DOC_TYPES.get(doc_type_raw) if isinstance(doc_type_raw, str) else None
-    if doc_type is None:
-        diagnostics.append(
-            f"doc_type must be one of {sorted(_DOC_TYPES)}, got {doc_type_raw!r}"
-        )
-
-    journal = raw.get("journal")
-    if not isinstance(journal, str) or not journal:
-        diagnostics.append("journal must be a non-empty string")
-
-    fields_raw = raw.get("fields")
-    fields: tuple[str, ...] = ()
-    if not isinstance(fields_raw, (list, tuple)) or not fields_raw:
-        diagnostics.append("fields must be a non-empty list")
-    elif not all(isinstance(f, str) and f for f in fields_raw):
-        diagnostics.append("fields must contain non-empty strings")
-    else:
-        fields = tuple(fields_raw)
-        if len(set(fields)) != len(fields):
-            diagnostics.append("duplicate field in fields")
-
-    citations = raw.get("citations")
-    if isinstance(citations, bool) or not isinstance(citations, int):
-        diagnostics.append("citations must be an integer")
-    elif citations < 0:
-        diagnostics.append("citations must be non-negative")
-    elif citations >= _COUNT_BOUND:
-        diagnostics.append("citations must be below 2**53")
-
-    addresses_raw = raw.get("addresses", [])
-    addresses: tuple[str, ...] = ()
-    if not isinstance(addresses_raw, (list, tuple)) or not all(
-        isinstance(a, str) for a in addresses_raw
-    ):
-        diagnostics.append("addresses must be a list of strings")
-    else:
-        addresses = tuple(addresses_raw)
-
-    # Optional extension: reconciled corpora round-trip their attributions.
-    attributions = _parse_attributions(raw.get("attributions"), diagnostics)
-
-    if diagnostics:
-        return None, diagnostics
-    record = PublicationRecord(
-        id=rec_id,
-        year=year,
-        doc_type=doc_type,
-        journal_id=sys.intern(journal),
-        field_ids=tuple(sys.intern(f) for f in fields),
-        citations=citations,
-        addresses=addresses,
-        attributions=attributions,
-    )
-    return record, []
+def _check_id(value) -> tuple[str, ...]:
+    return () if type(value) is str and value else ("id must be a non-empty string",)
 
 
-def _memo_attributions(raw: object, diagnostics: list[str], memo: dict) -> tuple[Attribution, ...]:
-    """`_parse_attributions` through `memo`, keyed by (org, subunit, weight) per
-    item. Only lists whose keys hold JSON strings, as `write_publications_jsonl`
-    writes them, are stored (`1` and `true` compare equal but do not both
-    validate), so a key that finds an entry holds strings too."""
-    if type(raw) is not list:
-        return _parse_attributions(raw, diagnostics)
-    try:
-        key = tuple([(item.get("org"), item.get("subunit"), item.get("weight")) for item in raw])
-        parsed = memo.get(key)
-    except (AttributeError, TypeError):  # an item that is no dict, or a value that is a list or dict
-        return _parse_attributions(raw, diagnostics)
-    if parsed is None:
-        n_diagnostics = len(diagnostics)
-        parsed = _parse_attributions(raw, diagnostics)
-        if len(diagnostics) == n_diagnostics and all(
-            type(o) is str and type(w) is str and (s is None or type(s) is str) for o, s, w in key
-        ):
-            memo[key] = parsed
-    return parsed
+def _check_year(value) -> tuple[str, ...]:
+    return () if type(value) is int else ("year must be an integer",)
 
 
-def _parse_attributions(raw: object, diagnostics: list[str]) -> tuple[Attribution, ...]:
-    if raw is None:
+def _check_doc_type(value) -> tuple[str, ...]:
+    valid = type(value) is str and value in _DOC_TYPES
+    return () if valid else (f"doc_type must be one of {sorted(_DOC_TYPES)}, got {value!r}",)
+
+
+def _check_journal(value) -> tuple[str, ...]:
+    return () if type(value) is str and value else ("journal must be a non-empty string",)
+
+
+def _check_fields(value) -> tuple[str, ...]:
+    if type(value) is not list or not value:
+        return ("fields must be a non-empty list",)
+    if not all(type(f) is str and f for f in value):
+        return ("fields must contain non-empty strings",)
+    return ("duplicate field in fields",) if len(set(value)) != len(value) else ()
+
+
+def _check_citations(value) -> tuple[str, ...]:
+    if type(value) is not int:
+        return ("citations must be an integer",)
+    if value < 0:
+        return ("citations must be non-negative",)
+    return ("citations must be below 2**53",) if value >= _COUNT_BOUND else ()
+
+
+def _check_addresses(value) -> tuple[str, ...]:
+    valid = type(value) is list and all(type(a) is str for a in value)
+    return () if valid else ("addresses must be a list of strings",)
+
+
+def _check_attributions(value) -> tuple[str, ...]:
+    if value is None:
         return ()
-    if not isinstance(raw, list):
-        diagnostics.append("attributions must be a list")
-        return ()
-    parsed: list[Attribution] = []
-    for item in raw:
-        if not isinstance(item, dict) or not isinstance(item.get("org"), str):
-            diagnostics.append("each attribution needs an 'org' string")
-            return ()
+    if type(value) is not list:
+        return ("attributions must be a list",)
+    total = Fraction(0)
+    for item in value:
+        if type(item) is not dict or type(item.get("org")) is not str:
+            return ("each attribution needs an 'org' string",)
         subunit = item.get("subunit")
-        if subunit is not None and not isinstance(subunit, str):
-            diagnostics.append("attribution 'subunit' must be a string or null")
-            return ()
+        if subunit is not None and type(subunit) is not str:
+            return ("attribution 'subunit' must be a string or null",)
         try:
-            weight = Fraction(str(item.get("weight")))
+            weight = _weight(str(item.get("weight")))
         except (ValueError, ZeroDivisionError):
-            diagnostics.append(f"invalid attribution weight {item.get('weight')!r}")
-            return ()
+            return (f"invalid attribution weight {item.get('weight')!r}",)
         if not 0 < weight <= 1:
-            diagnostics.append(f"attribution weight {weight} outside (0, 1]")
-            return ()
-        parsed.append(Attribution(sys.intern(item["org"]), subunit, weight))
-    if parsed and sum((a.weight for a in parsed), Fraction(0)) != 1:
-        diagnostics.append("attribution weights must sum to exactly 1")
-        return ()
-    return tuple(parsed)
+            return (f"attribution weight {weight} outside (0, 1]",)
+        total += weight
+    if value and total != 1:
+        return ("attribution weights must sum to exactly 1",)
+    return ()
+
+
+def _attributions(value: list | None) -> tuple[Attribution, ...]:
+    """A checked attribution list as `Attribution`s."""
+    return tuple(Attribution(sys.intern(item["org"]), item.get("subunit"), _weight(str(item.get("weight"))))
+                 for item in value or ())
+
+
+#: Each key of a publication line, its check, and the function that gives a
+#: checked value's stored form, in message order. A check takes the key's
+#: raw JSON value, None when the key is absent ([] for addresses), and
+#: returns its messages.
+_LINE_CHECKS = (
+    ("id", _check_id, str), ("year", _check_year, int), ("doc_type", _check_doc_type, _DOC_TYPES.__getitem__),
+    ("journal", _check_journal, str), ("fields", _check_fields, tuple), ("citations", _check_citations, int),
+    ("addresses", _check_addresses, tuple), ("attributions", _check_attributions, _attributions),
+)
 
 
 PathOrIO = str | Path | IO[str]
@@ -627,8 +586,43 @@ def load_field_scheme(source: PathOrIO) -> FieldScheme:
     return FieldScheme(mapping)
 
 
-def _valid_fields(fields: tuple) -> bool:
-    return bool(fields) and all(type(f) is str and f for f in fields) and len(set(fields)) == len(fields)
+# A memo key that no memo holds: the value's entry is its own.
+_FRESH = object()
+
+
+class _Distinct:
+    """The distinct values of one key of the publication lines, each checked
+    once. `memo` maps a value's memo key to its code: the index of its stored
+    form in `values` if `check` gives no message, else -1 less the index of
+    its messages in `faults`, which the keys of a file share; a value whose
+    memo key is `_FRESH` gets an entry of its own."""
+
+    def __init__(self, check, stored, faults: list):
+        self.check, self.stored, self.memo, self.values, self.faults = check, stored, {}, [], faults
+
+    def code(self, value, key) -> int:
+        messages = self.check(value)
+        if messages:
+            self.faults.append(messages)
+        else:
+            stored = self.stored(value)
+            self.values.append(key if key == stored else stored)  # a list's key is its stored form
+        code = -len(self.faults) if messages else len(self.values) - 1
+        if key is not _FRESH:
+            self.memo[key] = code
+        return code
+
+
+def _attribution_key(value: list):
+    """An attribution list's memo key, (org, subunit, weight) per item, if each
+    item is an object whose values are strings, the subunit also null, as
+    `write_publications_jsonl` writes them; else `_FRESH`."""
+    try:
+        key = tuple([(item.get("org"), item.get("subunit"), item.get("weight")) for item in value])
+    except AttributeError:  # an item that is no object
+        return _FRESH
+    exact = all(type(o) is str and type(w) is str and (s is None or type(s) is str) for o, s, w in key)
+    return key if exact else _FRESH
 
 
 def _read_columns(source: PathOrIO, sha: hashlib._Hash | None = None) -> tuple[RecordColumns, list[str]]:
@@ -637,25 +631,22 @@ def _read_columns(source: PathOrIO, sha: hashlib._Hash | None = None) -> tuple[R
     kept record uses (`columns.select` drops them). With `sha`, every byte
     decoded from a path also updates it.
 
-    A line takes the fast path when id, year, doc type, journal and
-    citations have their JSON types and ranges and fields and addresses
-    are lists: each distinct field tuple and address list is checked the
-    first time it is seen, and each distinct attribution list validated
-    once by `_memo_attributions`, so equal lists share one tuple. Every
-    other line goes through `validate_record`, so each diagnostic keeps
-    its text and its order.
+    Every line takes one path: the id is checked on each line, and each
+    check of `_LINE_CHECKS` runs once per distinct value of its key. A
+    value shares a memo entry only with one of the key's exact JSON type:
+    `True`, `1` and `1.0` hash alike, yet do not all pass, and doc type and
+    weight messages print the value's repr. A line's diagnostics are its
+    values' messages in table order; only a line with none is checked for
+    a duplicate id.
     """
-    ids, seen, diagnostics, rejected = [], set(), [], []
-    coded = ([], [], [], [], [], [], [])  # codes into the dicts below, then citations
-    add_year, add_journal, add_doc_type, add_fields, add_addresses, add_attributions, add_citations = (
-        c.append for c in coded
-    )
-    # Distinct value -> code, its place in the dict; -1 for a field tuple or
-    # address list that does not validate. Attribution tuples go by identity,
-    # and the dict keeps each alive.
-    year_codes, journal_codes, doc_codes, field_codes, address_codes = {}, {}, {}, {}, {}
-    attribution_codes: dict[int, tuple[int, tuple[Attribution, ...]]] = {}
-    memo: dict[tuple, tuple[Attribution, ...]] = {}
+    ids, seen, diagnostics, faults, citations = [], set(), [], [], []
+    columns = [_Distinct(check, stored, faults) for _, check, stored in _LINE_CHECKS[1:]]
+    years, doc_types, journals, fields, citation_checks, addresses, attributions = columns
+    year_get, doc_get, journal_get, field_get, citation_get, address_get, attribution_get = (
+        column.memo.get for column in columns)
+    coded = ([], [], [], [], [], [])  # codes per line into `values` of the columns but citations
+    add_year, add_doc_type, add_journal, add_fields, add_addresses, add_attributions = (c.append for c in coded)
+    add_citations, check_id, fresh = citations.append, _check_id, _FRESH
     # The scanner of `json.loads`; a line that is more than one JSON value
     # and "\n" goes through `json.loads` itself.
     scan = json.JSONDecoder().scan_once
@@ -680,49 +671,53 @@ def _read_columns(source: PathOrIO, sha: hashlib._Hash | None = None) -> tuple[R
             if not isinstance(raw, dict):
                 diagnostics.append(f"publications line {lineno}: expected an object")
                 continue
-            f = a = -1
             try:
-                rec_id, y, doc, jid, cites = raw["id"], raw["year"], raw["doc_type"], raw["journal"], raw["citations"]
-                field_list, address_list = raw["fields"], raw.get("addresses", [])
-                if (type(rec_id) is str and rec_id and type(y) is int and type(doc) is str and doc in _DOC_TYPES
-                        and type(jid) is str and jid and type(cites) is int and 0 <= cites < _COUNT_BOUND
-                        and type(field_list) is list and type(address_list) is list):
-                    field_key, address_key = tuple(field_list), tuple(address_list)
-                    if (f := field_codes.get(field_key)) is None:
-                        f = field_codes[field_key] = len(field_codes) if _valid_fields(field_key) else -1
-                    if (a := address_codes.get(address_key)) is None:
-                        valid = all(type(s) is str for s in address_key)
-                        a = address_codes[address_key] = len(address_codes) if valid else -1
-                    atts = raw.get("attributions")
-                    atts = () if atts is None else _memo_attributions(atts, rejected, memo)
-                    if rejected:
-                        rejected.clear()
-                        f = -1
-            except (KeyError, TypeError):  # a missing key or an unhashable item, which `validate_record` diagnoses
-                f = -1
-            if f < 0 or a < 0:  # every such JSON line fails a check of `validate_record`
-                _, rec_diags = validate_record(raw)
-                rec_id = raw.get("id", "?")
-                diagnostics.extend(f"publications line {lineno} (record {rec_id}): {d}" for d in rec_diags)
+                rec_id, y, d, j, f, c = (raw["id"], raw["year"], raw["doc_type"], raw["journal"], raw["fields"],
+                                         raw["citations"])
+            except KeyError:  # an absent key's value is None
+                rec_id, y, d, j, f, c = map(raw.get, ("id", "year", "doc_type", "journal", "fields", "citations"))
+            a, t = raw.get("addresses", []), raw.get("attributions")
+            try:
+                if (yc := year_get(yk := y if type(y) is int else fresh)) is None:
+                    yc = years.code(y, yk)
+                if (dc := doc_get(dk := d if type(d) is str else fresh)) is None:
+                    dc = doc_types.code(d, dk)
+                if (jc := journal_get(jk := j if type(j) is str else fresh)) is None:
+                    jc = journals.code(j, jk)
+                if (fc := field_get(fk := tuple(f) if type(f) is list else fresh)) is None:
+                    fc = fields.code(f, fk)
+                if (cc := citation_get(ck := c if type(c) is int else fresh)) is None:
+                    cc = citation_checks.code(c, ck)
+                if (ac := address_get(ak := tuple(a) if type(a) is list else fresh)) is None:
+                    ac = addresses.code(a, ak)
+                tk = t if t is None else _attribution_key(t) if type(t) is list else fresh
+                if (tc := attribution_get(tk)) is None:
+                    tc = attributions.code(t, tk)
+            except TypeError:  # an unhashable item in a list: each value gets an entry of its own
+                yc, dc, jc, fc, cc, ac, tc = map(_Distinct.code, columns, (y, d, j, f, c, a, t), repeat(fresh))
+            messages = check_id(rec_id)
+            if messages or (yc | dc | jc | fc | cc | ac | tc) < 0:
+                messages += tuple(m for code in (yc, dc, jc, fc, cc, ac, tc) if code < 0 for m in faults[~code])
+                diagnostics.extend(f"publications line {lineno} (record {raw.get('id', '?')}): {m}" for m in messages)
                 continue
             if rec_id in seen:
                 diagnostics.append(f"publications line {lineno}: duplicate publication id {rec_id!r}")
                 continue
             seen.add(rec_id)
             ids.append(rec_id)
-            add_year(year_codes.setdefault(y, len(year_codes)))
-            add_journal(journal_codes.setdefault(jid, len(journal_codes)))
-            add_doc_type(doc_codes.setdefault(doc, len(doc_codes)))
-            add_fields(f)
-            add_addresses(a)
-            add_attributions(attribution_codes.setdefault(id(atts), (len(attribution_codes), atts))[0])
-            add_citations(cites)
-    by_value, attribution_tuples = encode(atts for _, atts in attribution_codes.values())
-    year, journal, doc_type, fields, addresses, attributions = (np.array(c, np.int32) for c in coded[:6])
+            add_year(yc)
+            add_doc_type(dc)
+            add_journal(jc)
+            add_fields(fc)
+            add_addresses(ac)
+            add_attributions(tc)
+            add_citations(c)
+    by_value, attribution_tuples = encode(attributions.values)
+    year, doc_type, journal, field, address, attribution = (np.array(c, np.int32) for c in coded)
     return RecordColumns(
-        tuple(ids), year, journal, doc_type, fields, addresses, by_value[attributions], np.array(coded[6], np.int64),
-        tuple(year_codes), tuple(journal_codes), tuple(map(_DOC_TYPES.get, doc_codes)), tuple(field_codes),
-        tuple(address_codes), attribution_tuples,
+        tuple(ids), year, journal, doc_type, field, address, by_value[attribution], np.array(citations, np.int64),
+        tuple(years.values), tuple(journals.values), tuple(doc_types.values), tuple(fields.values),
+        tuple(addresses.values), attribution_tuples,
     ), diagnostics
 
 
@@ -860,8 +855,10 @@ def _attribution_items(attributions: tuple[Attribution, ...]) -> list[dict]:
     ]
 
 
-#: Bump whenever ingest validation or the snapshot layout changes: a
-#: snapshot written under another value no longer loads.
+#: Bump whenever the snapshot layout changes, or ingest comes to refuse a
+#: value that the writer writes: a snapshot written under another value no
+#: longer loads. A check that refuses only values the writer never writes
+#: needs no bump, since the loader runs the checks too.
 SNAPSHOT_FORMAT = 2
 # The stored arrays, in file order, as explicit little-endian bytes.
 _SNAPSHOT_ARRAYS = (*((code, np.dtype("<i4")) for code, _ in CODED), ("citations", np.dtype("<i8")))
@@ -982,10 +979,10 @@ def _load_snapshot(publications: PathOrIO, target: str | Path | None = None,
 
 def _snapshot_columns(fh: IO[bytes]) -> tuple[RecordColumns, bool]:
     """Decode the rest of a snapshot after its key line, and tell whether
-    its ids strictly increase, as `write_snapshot` writes them. Raises ValueError,
-    TypeError or KeyError for bad JSON, a value of the wrong type, an empty
-    or repeated id, an empty journal id, a count its lines do not hold,
-    arrays whose length is not the id count, or a code outside its values."""
+    its ids strictly increase, as `write_snapshot` writes them. Raises ValueError
+    or TypeError for bad JSON, a count its lines do not hold, a value that
+    a check of `_LINE_CHECKS` refuses, a repeated id, arrays whose length
+    is not the id count, or a code outside its values."""
 
     def read_values(count: int) -> list:
         found: list = []
@@ -998,20 +995,21 @@ def _snapshot_columns(fh: IO[bytes]) -> tuple[RecordColumns, bool]:
             raise ValueError("snapshot lines hold more values than their count")
         return found
 
-    counts = json.loads(fh.readline())
-    ids, years, journals, doc_types, field_tuples, address_lists, attributions = map(read_values, counts)
-    ids, years, journals = tuple(ids), tuple(years), tuple(journals)
-    field_tuples, address_lists = tuple(map(tuple, field_tuples)), tuple(map(tuple, address_lists))
-    rejected: list[str] = []
-    attribution_tuples = tuple(_parse_attributions(t, rejected) for t in attributions)
-    valid_ids = all(type(i) is str and i for i in ids)
+    checks = {key: (check, stored) for key, check, stored in _LINE_CHECKS}
+    n_ids, *counts = json.loads(fh.readline())
+    # Ids and citations are checked as columns; each key's list is dropped once stored.
+    ids = tuple(read_values(n_ids))
     # Ids that strictly increase are distinct without a set.
-    increasing = valid_ids and all(map(operator.lt, ids, islice(ids, 1, None)))
-    if rejected or not (valid_ids and all(type(y) is int for y in years)
-                        and all(type(j) is str and j for j in journals) and all(map(_valid_fields, field_tuples))
-                        and all(type(a) is str for t in address_lists for a in t)
-                        and (increasing or len(set(ids)) == len(ids))):
-        raise ValueError("snapshot value of the wrong type, empty or repeated")
+    increasing = all(map(operator.lt, ids, islice(ids, 1, None)))
+    if any(map(_check_id, ids)) or not increasing and len(set(ids)) != len(ids):
+        raise ValueError("snapshot id that ingest refuses, or a repeated one")
+    distinct = {}
+    for (key, values), count in zip(CODED, counts, strict=True):
+        check, stored = checks[key]
+        found = read_values(count)
+        if any(map(check, found)):
+            raise ValueError(f"snapshot {key} value that ingest refuses")
+        distinct[values] = tuple(map(stored, found))
     n, arrays = len(ids), {}
     for name, dtype in _SNAPSHOT_ARRAYS:
         array = np.empty(n, dtype)
@@ -1020,14 +1018,12 @@ def _snapshot_columns(fh: IO[bytes]) -> tuple[RecordColumns, bool]:
         arrays[name] = array.astype(dtype.newbyteorder("="), copy=False)
     if fh.read(1):
         raise ValueError("snapshot arrays longer than the id count")
-    cols = RecordColumns(
-        ids=ids, **arrays, years=years, journals=journals, doc_types=tuple(_DOC_TYPES[d] for d in doc_types),
-        field_tuples=field_tuples, address_lists=address_lists, attribution_tuples=attribution_tuples,
-    )
+    cols = RecordColumns(ids, **arrays, **distinct)
     for code, values in CODED:
         codes = getattr(cols, code)
         if n and not 0 <= codes.min() <= codes.max() < len(getattr(cols, values)):
             raise ValueError(f"snapshot {code} code out of range")
-    if n and not 0 <= cols.citations.min() <= cols.citations.max() < _COUNT_BOUND:
+    # Every count between two that the check passes passes it too.
+    if n and any(map(_check_citations, (cols.citations.min().item(), cols.citations.max().item()))):
         raise ValueError("snapshot citation count out of range")
     return cols, increasing

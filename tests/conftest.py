@@ -5,13 +5,16 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fieldimpact.columns import RecordColumns
-from fieldimpact.corpus import Corpus, RecordView, _read_columns, parse_corpus
+from fieldimpact.corpus import (_COUNT_BOUND, _DOC_TYPES, Attribution, Corpus, PublicationRecord, RecordView,
+                                _read_columns, parse_corpus)
 from fieldimpact.reconcile import RuleConflict
 
 
@@ -24,6 +27,113 @@ def read_records(text: str):
     the full diagnostic list, as ingest decodes it."""
     columns, diagnostics = _read_columns(io.StringIO(text))
     return list(RecordView(columns)), diagnostics
+
+
+# The brute-force oracle of ingest's line checks: each publication line
+# validated on its own, building the record that ingest would keep.
+
+
+def validate_record(raw: Mapping[str, object]) -> tuple[PublicationRecord | None, list[str]]:
+    """Validate one parsed record; return (record, diagnostics).
+
+    The diagnostic list is complete (every violated constraint), and the
+    record is None whenever any diagnostic is present.
+    """
+    diagnostics: list[str] = []
+
+    rec_id = raw.get("id")
+    if not isinstance(rec_id, str) or not rec_id:
+        diagnostics.append("id must be a non-empty string")
+
+    year = raw.get("year")
+    if isinstance(year, bool) or not isinstance(year, int):
+        diagnostics.append("year must be an integer")
+
+    doc_type_raw = raw.get("doc_type")
+    doc_type = _DOC_TYPES.get(doc_type_raw) if isinstance(doc_type_raw, str) else None
+    if doc_type is None:
+        diagnostics.append(
+            f"doc_type must be one of {sorted(_DOC_TYPES)}, got {doc_type_raw!r}"
+        )
+
+    journal = raw.get("journal")
+    if not isinstance(journal, str) or not journal:
+        diagnostics.append("journal must be a non-empty string")
+
+    fields_raw = raw.get("fields")
+    fields: tuple[str, ...] = ()
+    if not isinstance(fields_raw, (list, tuple)) or not fields_raw:
+        diagnostics.append("fields must be a non-empty list")
+    elif not all(isinstance(f, str) and f for f in fields_raw):
+        diagnostics.append("fields must contain non-empty strings")
+    else:
+        fields = tuple(fields_raw)
+        if len(set(fields)) != len(fields):
+            diagnostics.append("duplicate field in fields")
+
+    citations = raw.get("citations")
+    if isinstance(citations, bool) or not isinstance(citations, int):
+        diagnostics.append("citations must be an integer")
+    elif citations < 0:
+        diagnostics.append("citations must be non-negative")
+    elif citations >= _COUNT_BOUND:
+        diagnostics.append("citations must be below 2**53")
+
+    addresses_raw = raw.get("addresses", [])
+    addresses: tuple[str, ...] = ()
+    if not isinstance(addresses_raw, (list, tuple)) or not all(
+        isinstance(a, str) for a in addresses_raw
+    ):
+        diagnostics.append("addresses must be a list of strings")
+    else:
+        addresses = tuple(addresses_raw)
+
+    # Optional extension: reconciled corpora round-trip their attributions.
+    attributions = _parse_attributions(raw.get("attributions"), diagnostics)
+
+    if diagnostics:
+        return None, diagnostics
+    record = PublicationRecord(
+        id=rec_id,
+        year=year,
+        doc_type=doc_type,
+        journal_id=sys.intern(journal),
+        field_ids=tuple(sys.intern(f) for f in fields),
+        citations=citations,
+        addresses=addresses,
+        attributions=attributions,
+    )
+    return record, []
+
+
+def _parse_attributions(raw: object, diagnostics: list[str]) -> tuple[Attribution, ...]:
+    if raw is None:
+        return ()
+    if not isinstance(raw, list):
+        diagnostics.append("attributions must be a list")
+        return ()
+    parsed: list[Attribution] = []
+    for item in raw:
+        if not isinstance(item, dict) or not isinstance(item.get("org"), str):
+            diagnostics.append("each attribution needs an 'org' string")
+            return ()
+        subunit = item.get("subunit")
+        if subunit is not None and not isinstance(subunit, str):
+            diagnostics.append("attribution 'subunit' must be a string or null")
+            return ()
+        try:
+            weight = Fraction(str(item.get("weight")))
+        except (ValueError, ZeroDivisionError):
+            diagnostics.append(f"invalid attribution weight {item.get('weight')!r}")
+            return ()
+        if not 0 < weight <= 1:
+            diagnostics.append(f"attribution weight {weight} outside (0, 1]")
+            return ()
+        parsed.append(Attribution(sys.intern(item["org"]), subunit, weight))
+    if parsed and sum((a.weight for a in parsed), Fraction(0)) != 1:
+        diagnostics.append("attribution weights must sum to exactly 1")
+        return ()
+    return tuple(parsed)
 
 
 def journals_csv(rows: list[tuple]) -> str:

@@ -18,12 +18,12 @@ from fieldimpact.corpus import (
     load_journals,
     load_organizations,
     parse_corpus,
-    validate_record,
     write_publications_jsonl,
 )
 from fractions import Fraction
 
-from conftest import args_corpus, att, jsonl, journals_csv, mk_corpus, orgs_csv, pub, read_records, scheme_csv
+from conftest import (args_corpus, att, jsonl, journals_csv, mk_corpus, orgs_csv, pub, read_records, scheme_csv,
+                      validate_record)
 
 
 class TestParseCorpus:
@@ -167,8 +167,8 @@ class TestParseCorpus:
 
 
 def parse_line_by_line(text: str):
-    """Ingest without its attribution memo: `validate_record`
-    on each line, diagnostics formatted the same way (ids are unique)."""
+    """Ingest without its memos: the oracle `validate_record` on each
+    line, diagnostics formatted the same way (ids are unique)."""
     records, diagnostics = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         raw = json.loads(line)
@@ -309,33 +309,34 @@ class TestDocTypeShares:
 
 
 class TestValidateRecord:
+    """Ingest's messages for one line, as `read_records` gives them."""
+
     def test_negative_citations(self):
-        _, diags = validate_record({**pub("p1"), "citations": -1})
-        assert any("citations must be non-negative" in d for d in diags)
+        _, diags = read_records(jsonl([{**pub("p1"), "citations": -1}]))
+        assert diags == ["publications line 1 (record p1): citations must be non-negative"]
 
     @pytest.mark.parametrize("citations", [2**53, 2**53 + 1, 10**400], ids=["2**53", "2**53+1", "10**400"])
     def test_citations_beyond_float_precision(self, citations):
-        record, diags = validate_record({**pub("p1"), "citations": citations})
-        assert record is None
-        assert diags == ["citations must be below 2**53"]
+        records, diags = read_records(jsonl([{**pub("p1"), "citations": citations}]))
+        assert records == []
+        assert diags == ["publications line 1 (record p1): citations must be below 2**53"]
 
     def test_largest_exact_citation_count_accepted(self):
-        record, diags = validate_record({**pub("p1"), "citations": 2**53 - 1})
+        (record,), diags = read_records(jsonl([{**pub("p1"), "citations": 2**53 - 1}]))
         assert diags == [] and record.citations == 2**53 - 1
 
     def test_duplicate_field(self):
-        _, diags = validate_record({**pub("p1"), "fields": ["F1", "F1"]})
-        assert any("duplicate field" in d for d in diags)
+        _, diags = read_records(jsonl([{**pub("p1"), "fields": ["F1", "F1"]}]))
+        assert diags == ["publications line 1 (record p1): duplicate field in fields"]
 
     def test_valid_record_has_no_diagnostics(self):
-        record, diags = validate_record(pub("p1", citations=4))
+        (record,), diags = read_records(jsonl([pub("p1", citations=4)]))
         assert diags == []
-        assert record is not None
         assert record.doc_type is DocType.ARTICLE
         assert record.citations == 4
 
     def test_all_violations_reported_not_just_first(self):
-        _, diags = validate_record(
+        _, diags = read_records(jsonl([
             {
                 "id": "",
                 "year": "nope",
@@ -345,11 +346,16 @@ class TestValidateRecord:
                 "citations": -3,
                 "addresses": "not-a-list",
             }
-        )
-        joined = "\n".join(diags)
-        for fragment in ("id", "year", "doc_type", "journal", "fields", "addresses"):
-            assert fragment in joined
-        assert len(diags) >= 6
+        ]))
+        assert diags == [f"publications line 1 (record ): {d}" for d in (
+            "id must be a non-empty string",
+            "year must be an integer",
+            "doc_type must be one of ['article', 'proceedings', 'review'], got 'thesis'",
+            "journal must be a non-empty string",
+            "fields must be a non-empty list",
+            "citations must be non-negative",
+            "addresses must be a list of strings",
+        )]
 
 
 class TestCensusCitations:

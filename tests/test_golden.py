@@ -23,6 +23,11 @@ alters them changes the engine's results. They include the two column
 snapshots that ``reconcile`` writes, of the reconciled JSONL and of the
 raw publications file, which freeze their format; the chain is also run
 with both deleted after ``reconcile``.
+
+``diagnostics`` is no chain case: ``validate`` on a publications file
+whose lines break every rule of a valid line, one at a time and all at
+once, against the fixture's registries. Its stderr freezes every
+diagnostic's text and their order.
 """
 
 from __future__ import annotations
@@ -159,6 +164,16 @@ def test_reconcile_again_loads_its_raw_snapshot(case, tmp_path, monkeypatch):
     assert dispatch(argv) == 0
     assert written == [out / SNAPSHOT]  # only the reconciled JSONL's snapshot
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_diagnostics_byte_identical(tmp_path, capsys):
+    """Every line diagnostic, the duplicate ids and the dangling references, in order, as `validate` prints them."""
+    inputs = fixture_inputs(tmp_path)
+    case = GOLDEN / "diagnostics"
+    assert dispatch(["validate", *corpus_args(inputs, case / "input" / "publications.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (case / "expected" / "validate.stderr").read_bytes()
 
 
 def test_synth_world_byte_identical(tmp_path):

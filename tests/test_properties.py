@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldimpact.benchmarks import (
@@ -33,7 +33,7 @@ from fieldimpact.benchmarks import (
 )
 from fieldimpact.columns import RecordColumns
 from fieldimpact.corpus import (CorpusValidationError, _load_snapshot, parse_corpus, snapshot_path,
-                                validate_record, write_publications_jsonl, write_snapshot)
+                                write_publications_jsonl, write_snapshot)
 from fieldimpact.indicators import (IndicatorRow, aggregate, concentration_index_from_shares, concentration_table,
                                     org_type_discipline_weights, write_indicator_csv, write_indicator_json)
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
@@ -41,7 +41,7 @@ from fieldimpact.reporting import RankingSpec, emit, rank
 from fieldimpact.synth import build_world_spec, generate_corpus
 
 from conftest import (assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, read_records,
-                      scheme_csv)
+                      scheme_csv, validate_record)
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -440,9 +440,9 @@ def test_benchmark_totals_beyond_int64_match_fraction_oracle():
     assert (cells_of(compute_xcr(corpus)), cells_of(compute_jxcr(corpus))) == benchmark_oracle(corpus)
 
 
-# Differential test of ingest's fast path: every line, good or bad, gives
-# the records and diagnostics (text and order) of `validate_record` per
-# line plus the duplicate-id and reference checks. Ids include trailing
+# Differential test of ingest: every line, good or bad, gives the records
+# and diagnostics (text and order) of the oracle `conftest.validate_record`
+# per line plus the duplicate-id and reference checks. Ids include trailing
 # NULs and non-BMP characters, which pin Python's string order.
 
 INGEST_ORGS = [("A", "Alpha", "U", None), ("A_L1", "Alpha Lab", "U", "A"), ("B", "Beta", "RI", None)]
@@ -450,7 +450,8 @@ INGEST_JOURNALS = [("J1", "Journal One", 1.0, ["F1"]), ("J2", "Journal Two", 2.0
 INGEST_SCHEME = {"F1": "Physics", "F2": "Biology"}
 _ABSENT = object()  # the key is left out of the line
 
-# Per key: values that validate without and with a dangling reference, and values that do not.
+# Per key: values that validate without and with a dangling reference, and values that do not,
+# among them values hash-equal to good ones (`True == 1 == 1.0`, `5.0 == 5`).
 GOOD_IDS = ["p1", "p2", "p1\x00", "p1\x00\x00", "p\U0001F600", "\U0001F600", "pé"]
 CLEAN = {
     "id": GOOD_IDS,
@@ -472,10 +473,10 @@ DANGLING = {
 BAD = {
     "id": ["", 1, None, _ABSENT],
     "year": [True, "2001", 2001.0, None, _ABSENT],
-    "doc_type": ["thesis", 1, _ABSENT],
+    "doc_type": ["thesis", 1, True, 1.0, _ABSENT],
     "journal": ["", 3, _ABSENT],
     "fields": [[], ["F1", "F1"], ["F1", ""], [1], [["F1"]], "F1", None, _ABSENT],
-    "citations": [2**53, 2**53 + 1, -1, True, False, 1.5, "3", None, _ABSENT],
+    "citations": [2**53, 2**53 + 1, -1, True, False, 1.5, 5.0, 0.0, "3", None, _ABSENT],
     "addresses": [[1], [["Alpha"]], "Alpha", None],
     "attributions": [
         [att("A", "1/2")], [att("A", "0")], [{"org": "A", "subunit": None, "weight": True}],
@@ -483,6 +484,15 @@ BAD = {
     ],
 }
 RAW_LINES = ["{not json", "[1, 2]", "null", "{}", "   ", "", '{"id": "p9"} extra', "[" * 3000 + "]" * 3000]
+# Values equal to an earlier line's but of another JSON type: a memo keyed
+# by value alone would give each the earlier line's entry.
+HASH_EQUAL_LINES = jsonl([pub(f"h{i}", **{key: value}) for i, (key, value) in enumerate([
+    ("year", 2001), ("year", 2001.0), ("year", True), ("doc_type", 1), ("doc_type", True), ("doc_type", 1.0),
+    ("citations", 5), ("citations", 5.0), ("citations", 0.0), ("citations", False), ("fields", ["F", "1"]),
+    ("fields", "F1"), ("addresses", ["A", "l"]), ("addresses", "Al"),
+    ("attributions", [{"org": "A", "subunit": None, "weight": 1}]),
+    ("attributions", [{"org": "A", "subunit": None, "weight": True}]),
+])])
 
 
 @st.composite
@@ -562,6 +572,7 @@ def parse_text(text: str):
 
 @given(publication_lines())
 @settings(max_examples=300, deadline=None)
+@example(HASH_EQUAL_LINES)
 def test_ingest_matches_validate_record_line_by_line(text):
     records, diagnostics, references = ingest_oracle(text)
     assert read_records(text) == (records, diagnostics)

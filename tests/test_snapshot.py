@@ -190,14 +190,19 @@ def test_id_count_that_differs_from_the_arrays_parses(files, capsys, change):
     assert_parses(files, capsys)
 
 
-@pytest.mark.parametrize("edit", ["repeated id", "empty id", "empty journal id"])
+@pytest.mark.parametrize("edit", ["repeated id", "empty id", "empty journal id", "a field list that is a string",
+                                  "an address list that is a string"])
 def test_value_that_ingest_refuses_parses(files, capsys, edit):
-    """A snapshot whose key matches but whose ids ingest would refuse is a miss:
-    `parse_corpus` returns the JSONL's corpus."""
+    """A snapshot whose key matches but whose values ingest would refuse is a
+    miss: `parse_corpus` returns the JSONL's corpus."""
     key, counts, lines, arrays = parts(files["snapshot"].read_bytes())
-    at = 2 if edit == "empty journal id" else 0  # the journals line, or the ids line
+    # The journals, field tuples or address lists line, or the ids line.
+    at = {"empty journal id": 2, "a field list that is a string": 4, "an address list that is a string": 5}.get(edit, 0)
     values = json.loads(lines[at])
-    values[1] = values[0] if edit == "repeated id" else ""
+    if edit.endswith("that is a string"):
+        values[0] = "".join(values[0])  # ["F1"] as "F1"
+    else:
+        values[1] = values[0] if edit == "repeated id" else ""
     lines[at] = json.dumps(values).encode() + b"\n"
     files["snapshot"].write_bytes(sealed(key + json.dumps(counts).encode() + b"\n" + b"".join(lines) + arrays))
     assert_parses(files, capsys)
