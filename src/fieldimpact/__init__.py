@@ -36,8 +36,6 @@ from .indicators import (  # noqa: F401
     aggregate,
     concentration_index_from_shares,
     concentration_table,
-    journal_standardized_impact,
-    standardized_impact,
 )
 from .trends import annual_series, avg_annual_increase, series_growth  # noqa: F401
 from .reporting import RankingSpec, emit, rank  # noqa: F401

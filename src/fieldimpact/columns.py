@@ -80,6 +80,8 @@ def expand(codes: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     row-major order, both int32.
     """
     lengths = np.asarray(lengths, np.int64)
+    if (lengths == 1).all():
+        return np.arange(len(codes), dtype=np.int32), codes.astype(np.int32)
     counts = lengths[codes]
     rows = np.repeat(np.arange(len(codes), dtype=np.int32), counts)
     # Flat index of each row's first item, less the row's first output position.
@@ -95,9 +97,19 @@ def expand(codes: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
 def segments(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable order that groups equal codes, and the start of each group in it.
 
-    Stability keeps each group's rows in their original order.
+    Codes must be non-negative. The order is an LSD radix sort on 16-bit
+    digits, one stable argsort of uint16 keys (a counting sort in numpy)
+    per digit that the largest code needs. A stable order is unique, so it
+    is `np.argsort(codes, kind="stable")`, and each group keeps its rows in
+    their original order.
     """
-    order = np.argsort(codes, kind="stable")
+    top = int(codes.max(initial=0))
+    # The uint16 cast keeps a code's low 16 bits.
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        order = order[np.argsort((codes[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
     ranked = codes[order]
     new = np.ones(len(codes), bool)
     new[1:] = ranked[1:] != ranked[:-1]

@@ -259,17 +259,16 @@ def census_citations(
     """Count citation events observed up to and including the census date.
 
     A precomputed integer count passes through unchanged (census date
-    ignored); like an ingested count, it must be below 2**53. Events dated
-    before the publication year are counted but flagged, since such noise
-    occurs in real exports.
+    ignored) when ingest's citation check accepts it: non-negative and
+    below 2**53. Events dated before the publication year are counted but
+    flagged, since such noise occurs in real exports.
     """
     if isinstance(citation_events, bool):
         raise CorpusError("citation_events must be dates or an integer count")
     if isinstance(citation_events, int):
-        if citation_events < 0:
-            raise CorpusError("precomputed citation count must be non-negative")
-        if citation_events >= _COUNT_BOUND:
-            raise CorpusError("citations must be below 2**53")
+        problems = _check_citations(int(citation_events))
+        if problems:
+            raise CorpusError(problems[0])
         return CensusCount(citation_events, ())
     cutoff = _as_date(census_date, "census_date") if census_date is not None else None
     if cutoff is None:

@@ -21,11 +21,11 @@ in any field of the list. A rate cell that `expected` refuses (missing or
 mean 0) reads as NaN. Weights and slice labels are made once per distinct
 attribution. Its exactness contract:
 
-- the float expressions are those of the scalar definition: one rate
-  `_mean_expected_rate(...)` per (year, field set) cell that some row
-  uses, `citations / rate`, `(numerator / denominator) * ratio`, and one
-  `math.fsum` per group, which is correctly rounded, so the grouping
-  order cannot move a bit;
+- the float expressions are those of the scalar definition: per (year,
+  field set) cell, the rates of its fields summed left to right over
+  their count, bit for bit `sum(rates) / len(rates)`; `citations / rate`,
+  `(numerator / denominator) * ratio`, and one `math.fsum` per group,
+  which is correctly rounded, so the grouping order cannot move a bit;
 - exact sums (weights, weighted citations, top-journal weights) are
   int64 numerators over the lcm, or Python ints when
   lcm * max(citations) * rows could reach 2**63;
@@ -50,7 +50,7 @@ from .benchmarks import (
     TopJournalSet,
 )
 from .columns import RecordColumns, encode, exact_dtype, expand, segments
-from .corpus import Corpus, CorpusError, OrgType, PublicationRecord
+from .corpus import Corpus, CorpusError, OrgType
 from .reporting import Table, emit
 
 SLICE_KEYS = ("nation", "discipline", "field", "org_type", "org", "subunit", "year", "doc_type")
@@ -59,30 +59,6 @@ _ORG_KEYS = frozenset({"org_type", "org", "subunit"})
 
 class IndicatorError(CorpusError):
     pass
-
-
-def standardized_impact(pub: PublicationRecord, xcr_table: CitationBenchmarkTable) -> float:
-    """Citations over the mean expected citation rate of the publication's fields."""
-    return pub.citations / _mean_expected_rate(pub.year, pub.field_ids, xcr_table)
-
-
-def _mean_expected_rate(
-    year: int, field_ids: Sequence[str], xcr_table: CitationBenchmarkTable
-) -> float:
-    """Arithmetic mean of the expected rates of `field_ids` in `year`: the
-    denominator of every standardized impact.
-
-    Raises BenchmarkError when any of those cells is missing or degenerate.
-    """
-    rates = [xcr_table.expected(year, f) for f in field_ids]
-    return sum(rates) / len(rates)
-
-
-def journal_standardized_impact(
-    pub: PublicationRecord, jxcr_table: CitationBenchmarkTable
-) -> float:
-    """Citations over the expected citation rate of the publication's journal-year."""
-    return pub.citations / jxcr_table.expected(pub.year, pub.journal_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,23 +164,13 @@ def aggregate(
         share_of = np.zeros(len(cols.citations), np.int32)
 
     # Context rows, one per record x context, and their ratios; NaN marks a
-    # missing or degenerate benchmark cell. The rate of every (year, field
-    # set) cell that some context row uses is computed once.
+    # missing or degenerate benchmark cell.
     crec, cid = expand(cols.fields, [len(c) for c in contexts])
     contexts = [c for cs in contexts for c in cs]
     sub_of, subs = encode(fields for fields, _ in contexts)
-    cell_year, cell_sub = cols.year[crec], sub_of[cid]
-    used = np.zeros((len(years), len(subs)), bool)
-    used[cell_year, cell_sub] = True
-    rate = np.full(used.shape, math.nan)
-    for y, s in zip(*np.nonzero(used)):
-        try:
-            rate[y, s] = _mean_expected_rate(years[y], subs[s], benchmarks.xcr)
-        except BenchmarkError:
-            pass
+    rate = _mean_expected_rates(years, subs, benchmarks.xcr)
     with np.errstate(over="ignore"):
-        ratio = cols.citations[crec] / rate[cell_year, cell_sub]
-    del cell_year, cell_sub, used
+        ratio = cols.citations[crec] / rate[cols.year[crec], sub_of[cid]]
     # Group code: mixed radix over the slice's record, context and share values.
     code, span = np.zeros(len(crec), np.int64), 1
     if "year" in keys:
@@ -309,6 +275,35 @@ def _combine(code: np.ndarray, span: int, label: np.ndarray, radix: int) -> tupl
     return code, span * radix
 
 
+def _mean_expected_rates(
+    years: Sequence[int], field_sets: Sequence[Sequence[str]], xcr: CitationBenchmarkTable
+) -> np.ndarray:
+    """Per (year, field set): the arithmetic mean of the expected rates of the
+    set's fields, the denominator of every standardized impact; NaN where
+    `xcr.expected` refuses any of those cells.
+
+    Each (year, field) rate is read once. The sums run left to right over
+    the set's positions, a shorter set adding 0.0 past its end, so every
+    cell is bit for bit `sum(rates) / len(rates)`.
+    """
+    field_of, fields = encode(f for s in field_sets for f in s)
+    # The last column is the padding's 0.0.
+    per_field = np.zeros((len(years), len(fields) + 1))
+    for y, year in enumerate(years):
+        for f, field in enumerate(fields):
+            try:
+                per_field[y, f] = xcr.expected(year, field)
+            except BenchmarkError:
+                per_field[y, f] = math.nan
+    lengths = np.array([len(s) for s in field_sets], np.int64)
+    position = np.full((len(field_sets), int(lengths.max(initial=0))), len(fields))
+    position[np.arange(position.shape[1]) < lengths[:, None]] = field_of
+    total = np.zeros((len(years), len(field_sets)))
+    for column in position.T:
+        total += per_field[:, column]
+    return total / lengths
+
+
 def _journal_rates(cols: RecordColumns, jxcr: CitationBenchmarkTable) -> np.ndarray:
     """Expected rate per (year code, journal code) of `cols`, read through
     `jxcr.expected`; NaN where that cell is missing or degenerate."""
@@ -328,11 +323,13 @@ def _top_flags(cols: RecordColumns, top_set: TopJournalSet) -> np.ndarray:
     """Per (journal code, field-list code) of `cols`: is the journal top in
     any field of the list?"""
     journal_code = {j: i for i, j in enumerate(cols.journals)}
-    members = {f: [journal_code[j] for j in js if j in journal_code] for f, js in top_set.by_field.items()}
-    flags = np.zeros((len(cols.journals), len(cols.field_tuples)), bool)
-    for t, fields in enumerate(cols.field_tuples):
-        flags[[c for f in fields for c in members.get(f, ())], t] = True
-    return flags
+    field_of, fields = encode(f for t in cols.field_tuples for f in t)
+    top = np.zeros((len(cols.journals), len(fields)), bool)
+    for f, field in enumerate(fields):
+        top[[journal_code[j] for j in top_set.by_field.get(field, ()) if j in journal_code], f] = True
+    # Field lists are never empty, so each list's first item starts its run.
+    lengths = np.array([len(t) for t in cols.field_tuples], np.int64)
+    return np.logical_or.reduceat(top[:, field_of], np.cumsum(lengths) - lengths, axis=1)
 
 
 # Concentration of organization types across disciplines.

@@ -6,12 +6,13 @@ import io
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fieldimpact.benchmarks import CitationBenchmarkTable
 from fieldimpact.columns import RecordColumns
 from fieldimpact.corpus import (_COUNT_BOUND, _DOC_TYPES, Attribution, Corpus, PublicationRecord, RecordView,
                                 _read_columns, parse_corpus)
@@ -255,6 +256,34 @@ def top_decile_oracle(journals, fraction=0.10):
         boundary = ifs[k - 1]
         out[f] = frozenset(j.id for j in members if j.impact_factor >= boundary)
     return out
+
+
+# The scalar definition of standardized impact, the oracle of `aggregate`'s
+# rate and journal-rate tables.
+
+
+def standardized_impact(pub: PublicationRecord, xcr_table: CitationBenchmarkTable) -> float:
+    """Citations over the mean expected citation rate of the publication's fields."""
+    return pub.citations / _mean_expected_rate(pub.year, pub.field_ids, xcr_table)
+
+
+def _mean_expected_rate(
+    year: int, field_ids: Sequence[str], xcr_table: CitationBenchmarkTable
+) -> float:
+    """Arithmetic mean of the expected rates of `field_ids` in `year`: the
+    denominator of every standardized impact.
+
+    Raises BenchmarkError when any of those cells is missing or degenerate.
+    """
+    rates = [xcr_table.expected(year, f) for f in field_ids]
+    return sum(rates) / len(rates)
+
+
+def journal_standardized_impact(
+    pub: PublicationRecord, jxcr_table: CitationBenchmarkTable
+) -> float:
+    """Citations over the expected citation rate of the publication's journal-year."""
+    return pub.citations / jxcr_table.expected(pub.year, pub.journal_id)
 
 
 def conflict_oracle(rules) -> tuple[RuleConflict, ...]:

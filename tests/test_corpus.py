@@ -382,7 +382,7 @@ class TestCensusCitations:
     @pytest.mark.parametrize("events, census_date, message", [
         (True, None, "citation_events must be dates or an integer count"),
         (False, "2009-06-30", "citation_events must be dates or an integer count"),
-        (-1, None, "precomputed citation count must be non-negative"),
+        (-1, None, "citations must be non-negative"),
         (["2005-01-01"], None, "census_date is required when counting dated events"),
         (["2005-13-01"], "2009-06-30", "citation event: invalid ISO date '2005-13-01'"),
         ([2005], "2009-06-30", "citation event: invalid ISO date 2005"),

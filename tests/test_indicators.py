@@ -19,17 +19,16 @@ from fieldimpact.corpus import DocType, OrgType, PublicationRecord
 from fieldimpact.indicators import (
     IndicatorError,
     _combine,
+    _mean_expected_rates,
     aggregate,
     concentration_index_from_shares,
     concentration_table,
-    journal_standardized_impact,
     org_type_discipline_weights,
-    standardized_impact,
     write_indicator_csv,
     write_indicator_json,
 )
 
-from conftest import att, mk_corpus, pub
+from conftest import _mean_expected_rate, att, journal_standardized_impact, mk_corpus, pub, standardized_impact
 
 
 def record(id="p1", year=2003, journal="J1", fields=("F1",), citations=0):
@@ -89,6 +88,33 @@ class TestJournalStandardizedImpact:
 
     def test_direct_division(self):
         assert journal_standardized_impact(record(citations=3), jxcr_table({(2003, "J1"): 2.0})) == 1.5
+
+
+class TestMeanExpectedRates:
+    """The rate table's fixed rows: each reordered or pairwise sum gives other bits."""
+
+    def rates(self, field_rates):
+        fields = tuple(f"F{i}" for i in range(len(field_rates)))
+        table = xcr_table({(2003, f): r for f, r in zip(fields, field_rates)})
+        value = _mean_expected_rates([2003], [fields], table)[0, 0]
+        assert value == _mean_expected_rate(2003, fields, table)
+        return value
+
+    def test_left_to_right_sum(self):
+        # 1e16 + 1.0 rounds back to 1e16; adding the ones first gives 1e16 + 2.
+        assert (1e16 + 2) / 3 != 1e16 / 3
+        assert self.rates([1e16, 1.0, 1.0]) == 1e16 / 3
+
+    def test_nine_fields_are_not_summed_pairwise(self):
+        field_rates = [1e16] + [1.0] * 8
+        assert np.sum(field_rates) / 9 != 1e16 / 9
+        assert self.rates(field_rates) == 1e16 / 9
+
+    def test_unusable_cell_reads_nan(self):
+        table = xcr_table({(2003, "F1"): 2.0, (2003, "F2"): 0.0})
+        rates = _mean_expected_rates([2003, 2004], [("F1",), ("F1", "F2"), ("F2",), ("F3", "F1")], table)
+        assert rates[0, 0] == 2.0
+        assert np.isnan(rates[0, 1:]).all() and np.isnan(rates[1]).all()
 
 
 class TestAggregate:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from fieldimpact.benchmarks import (
     BenchmarkCell,
+    BenchmarkError,
     BenchmarkTables,
     CitationBenchmarkTable,
     TopJournalSet,
@@ -31,17 +32,18 @@ from fieldimpact.benchmarks import (
     export_benchmark_csv,
     load_benchmark_csv,
 )
-from fieldimpact.columns import RecordColumns
+from fieldimpact.columns import RecordColumns, expand, segments
 from fieldimpact.corpus import (CorpusValidationError, _load_snapshot, parse_corpus, snapshot_path,
                                 write_publications_jsonl, write_snapshot)
-from fieldimpact.indicators import (IndicatorRow, aggregate, concentration_index_from_shares, concentration_table,
-                                    org_type_discipline_weights, write_indicator_csv, write_indicator_json)
+from fieldimpact.indicators import (IndicatorRow, _mean_expected_rates, _top_flags, aggregate,
+                                    concentration_index_from_shares, concentration_table, org_type_discipline_weights,
+                                    write_indicator_csv, write_indicator_json)
 from fieldimpact.reconcile import compile_rules, reconcile_corpus
 from fieldimpact.reporting import RankingSpec, emit, rank
 from fieldimpact.synth import build_world_spec, generate_corpus
 
-from conftest import (assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub, read_records,
-                      scheme_csv, validate_record)
+from conftest import (_mean_expected_rate, assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub,
+                      read_records, scheme_csv, validate_record)
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -355,6 +357,98 @@ def test_aggregate_exact_sums_beyond_int64_match_oracle():
     for keys in DIFF_SLICES:
         rows = aggregate(corpus, keys, FULL_TABLES, DIFF_TOP, with_top_decile=True)
         assert rows == aggregate_oracle(corpus, keys, FULL_TABLES, DIFF_TOP), keys
+
+
+# The primitives under `aggregate`, each against the plain code it replaces.
+
+
+@given(st.sampled_from((2**4, 2**17, 2**33, 2**49, 2**62)).flatmap(
+    lambda top: st.lists(st.integers(0, top), min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60))))
+@example([])
+@example([2**62, 2**16, 2**16 - 1, 0, 2**32, 2**48, 2**32 + 1, 2**48 - 1, 2**62, 0, 2**16])
+# Long runs of equal digits, which an unstable pass reorders.
+@example([i * 7919 % 5 for i in range(200)])
+@example([i % 3 * 2**32 + i * 7919 % 5 for i in range(300)])
+@settings(max_examples=200, deadline=None)
+def test_segments_is_a_stable_argsort(codes):
+    codes = np.array(codes, np.int64)
+    order, starts = segments(codes)
+    assert order.tolist() == np.argsort(codes, kind="stable").tolist()
+    ranked = codes[order].tolist()
+    assert starts.tolist() == [i for i in range(len(ranked)) if i == 0 or ranked[i] != ranked[i - 1]]
+
+
+def expand_oracle(codes, lengths):
+    """Each row repeated once per item of its list, with the item's flat index."""
+    first = [sum(lengths[:c]) for c in range(len(lengths))]
+    pairs = [(r, first[c] + k) for r, c in enumerate(codes) for k in range(lengths[c])]
+    return np.array([r for r, _ in pairs], np.int32), np.array([i for _, i in pairs], np.int32)
+
+
+@given(st.sampled_from((st.just(1), st.integers(0, 3))).flatmap(
+    lambda length: st.lists(length, min_size=1, max_size=6).flatmap(
+        lambda lengths: st.tuples(st.lists(st.integers(0, len(lengths) - 1), max_size=20), st.just(lengths)))))
+@settings(max_examples=150, deadline=None)
+def test_expand_matches_formula(drawn):
+    codes, lengths = drawn
+    codes = np.array(codes, np.int32)
+    rows, items = expand(codes, lengths)
+    want_rows, want_items = expand_oracle(codes.tolist(), lengths)
+    assert (rows.dtype, items.dtype) == (np.int32, np.int32)
+    assert rows.tolist() == want_rows.tolist() and items.tolist() == want_items.tolist()
+    assert not np.shares_memory(items, codes)
+
+
+def top_flags_oracle(cols, top_set):
+    """The per-list loop: per (journal code, field-list code), is the journal
+    top in any field of the list?"""
+    journal_code = {j: i for i, j in enumerate(cols.journals)}
+    members = {f: [journal_code[j] for j in js if j in journal_code] for f, js in top_set.by_field.items()}
+    flags = np.zeros((len(cols.journals), len(cols.field_tuples)), bool)
+    for t, fields in enumerate(cols.field_tuples):
+        flags[[c for f in fields for c in members.get(f, ())], t] = True
+    return flags
+
+
+# The top set may name fields and journals that no record uses (F9, J9),
+# and leave fields out.
+top_sets = st.dictionaries(
+    st.sampled_from(sorted(SCHEME) + ["F9"]), st.frozensets(st.sampled_from(("J1", "J2", "J3", "J9")))
+).map(TopJournalSet)
+
+
+@given(attributed_pubs(), top_sets)
+@example([pub("p1", journal="J1", fields=["F1", "F3", "F2"]), pub("p2", journal="J2", fields=["F4"])], DIFF_TOP)
+@settings(max_examples=150, deadline=None)
+def test_top_flags_match_per_list_loop(pubs, top_set):
+    cols = mk_corpus(pubs, journals=DIFF_JOURNALS, orgs=ORGS, scheme=SCHEME).columns
+    flags = _top_flags(cols, top_set)
+    assert flags.dtype == bool
+    assert flags.tolist() == top_flags_oracle(cols, top_set).tolist()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mean_expected_rates_match_scalar_oracle_bit_for_bit(data):
+    fields = [f"F{i}" for i in range(12)]
+    years = data.draw(st.lists(st.integers(2000, 2004), max_size=3, unique=True))
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(years or [2000]), st.sampled_from(fields)),
+        st.one_of(st.just(0.0), st.floats(min_value=2**-10, max_value=1e18), st.sampled_from((1.0, 1e16))),
+    ))
+    field_sets = data.draw(st.lists(st.lists(st.sampled_from(fields), min_size=1, max_size=12).map(tuple), max_size=8))
+    xcr = CitationBenchmarkTable("field", {key: BenchmarkCell(1, mean) for key, mean in cells.items()})
+    rates = _mean_expected_rates(years, field_sets, xcr)
+    assert rates.shape == (len(years), len(field_sets))
+    for y, year in enumerate(years):
+        for s, field_set in enumerate(field_sets):
+            try:
+                want = _mean_expected_rate(year, field_set, xcr)
+            except BenchmarkError:
+                assert math.isnan(rates[y, s]), (year, field_set)
+            else:
+                assert float(rates[y, s]).hex() == want.hex(), (year, field_set)
 
 
 def record_columns(records) -> RecordColumns:
