@@ -80,8 +80,6 @@ def expand(codes: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     row-major order, both int32.
     """
     lengths = np.asarray(lengths, np.int64)
-    if (lengths == 1).all():
-        return np.arange(len(codes), dtype=np.int32), codes.astype(np.int32)
     counts = lengths[codes]
     rows = np.repeat(np.arange(len(codes), dtype=np.int32), counts)
     # Flat index of each row's first item, less the row's first output position.

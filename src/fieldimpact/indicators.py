@@ -22,8 +22,9 @@ mean 0) reads as NaN. Weights and slice labels are made once per distinct
 attribution. Its exactness contract:
 
 - the float expressions are those of the scalar definition: per (year,
-  field set) cell, the rates of its fields summed left to right over
-  their count, bit for bit `sum(rates) / len(rates)`; `citations / rate`,
+  field set) cell, the rates of its fields added left to right in plain
+  float arithmetic, over their count (the same bits on every Python; the
+  built-in `sum` compensates from 3.12 on); `citations / rate`,
   `(numerator / denominator) * ratio`, and one `math.fsum` per group,
   which is correctly rounded, so the grouping order cannot move a bit;
 - exact sums (weights, weighted citations, top-journal weights) are
@@ -284,7 +285,8 @@ def _mean_expected_rates(
 
     Each (year, field) rate is read once. The sums run left to right over
     the set's positions, a shorter set adding 0.0 past its end, so every
-    cell is bit for bit `sum(rates) / len(rates)`.
+    cell is the set's rates added in order, uncompensated, over their
+    count: not the built-in `sum`, which compensates from Python 3.12 on.
     """
     field_of, fields = encode(f for s in field_sets for f in s)
     # The last column is the padding's 0.0.

@@ -6,7 +6,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -271,12 +271,21 @@ def _mean_expected_rate(
     year: int, field_ids: Sequence[str], xcr_table: CitationBenchmarkTable
 ) -> float:
     """Arithmetic mean of the expected rates of `field_ids` in `year`: the
-    denominator of every standardized impact.
+    denominator of every standardized impact, the rates summed left to right.
 
     Raises BenchmarkError when any of those cells is missing or degenerate.
     """
     rates = [xcr_table.expected(year, f) for f in field_ids]
-    return sum(rates) / len(rates)
+    return sum_left_to_right(rates) / len(rates)
+
+
+def sum_left_to_right(values: Iterable[float]) -> float:
+    """Plain float addition in order. Not the built-in `sum`, which adds
+    with Neumaier compensation from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def journal_standardized_impact(

@@ -43,7 +43,7 @@ from fieldimpact.reporting import RankingSpec, emit, rank
 from fieldimpact.synth import build_world_spec, generate_corpus
 
 from conftest import (_mean_expected_rate, assert_columns_equal, att, journals_csv, jsonl, mk_corpus, orgs_csv, pub,
-                      read_records, scheme_csv, validate_record)
+                      read_records, scheme_csv, sum_left_to_right, validate_record)
 
 ORGS = [
     ("A", "Alpha", "U", None),
@@ -282,7 +282,7 @@ def aggregate_oracle(corpus, keys, tables, top):
             cells = [tables.xcr.cells.get((rec.year, f)) for f in fields]
             ratio = None
             if all(c is not None and c.mean != 0 for c in cells):
-                ratio = rec.citations / (sum(c.mean for c in cells) / len(cells))
+                ratio = rec.citations / (sum_left_to_right(c.mean for c in cells) / len(cells))
             for weight, org_vals in shares:
                 values = {"nation": "all", "year": rec.year, "doc_type": rec.doc_type.value, **ctx, **org_vals}
                 key = tuple((k, values[k]) for k in keys)
